@@ -192,8 +192,8 @@ def _cmd_finite(args) -> int:
                "method": res.method}, sys.stderr)
     if args.vectors:
         base = Path(args.out)
-        midgap = [j for j, ev in enumerate(res.eigenvalues) if abs(ev) < tol_abs]
-        for j in midgap:
+        # res.vectors builds a state only when indexed: only midgap ones here
+        for j in np.flatnonzero(np.abs(res.eigenvalues) < tol_abs):
             state = res.vectors[j]
             st = Table(
                 columns=["x", "abs_psi_a", "abs_psi_b"],

@@ -5,10 +5,11 @@ psi_A(x + a) = -(v0/w0) psi_A(x) and psi_B(x) = -(w0/v0) psi_B(x - a).
 Solutions are an exponential envelope times a free a-periodic factor,
 
     psi_s(x) = cos(2 pi n_s x / a + phi_{n_s}) * exp(q_s x),
-    q_s = eta_s (1/a) ln|w0/v0| - i eta_s pi / a,   eta_A = -1, eta_B = +1,
+    q_s = eta_s (1/a) ln|w0/v0| - i eta_s theta / a,   eta_A = -1, eta_B = +1,
 
-where the -i pi / a part encodes the sign flip per hop (couplings of equal
-sign assumed). The hard walls quantize the oscillatory factor: choosing
+where theta = pi when v0 w0 > 0 encodes the sign flip per hop, and
+theta = 0 when v0 w0 < 0, because the per-hop factor -v0/w0 is then
+positive. The hard walls quantize the oscillatory factor: choosing
 
     phi_{n_s}(m_s) = (2 m_s + 1) pi / 2 + n_s pi L / a
 
@@ -64,17 +65,17 @@ class ZeroModeAnalytic:
 def zero_mode_exponents(params: FiniteParams) -> tuple[complex, complex]:
     """(q_A, q_B): complex spatial exponents of the two zero-mode families.
 
-    Re q_A = -Re q_B = -(1/a) ln|w0/v0|, Im q_s = -eta_s pi/a. The A mode
-    grows toward the left wall and the B mode toward the right wall when
-    |w0| > |v0|.
+    Re q_A = -Re q_B = -(1/a) ln|w0/v0|, Im q_A = -Im q_B = pi/a for
+    couplings of equal sign and 0 for opposite signs, so that exp(q_A a)
+    equals the per-hop factor -v0/w0. The A mode grows toward the left
+    wall and the B mode toward the right wall when |w0| > |v0|.
     """
     validate_finite(params)
     if params.v0 == 0.0 or params.w0 == 0.0:
         raise ZeroCoupling("zero-mode exponents need v0 != 0 and w0 != 0")
     rate = np.log(abs(params.w0 / params.v0)) / params.a
-    q_a = -rate + 1j * np.pi / params.a
-    q_b = rate - 1j * np.pi / params.a
-    return complex(q_a), complex(q_b)
+    turn = np.pi / params.a if params.v0 * params.w0 > 0.0 else 0.0
+    return complex(-rate, turn), complex(rate, 0.0 - turn)  # no -0.0 in the output
 
 
 def phase_label(n: int, m: int, params: FiniteParams) -> float:

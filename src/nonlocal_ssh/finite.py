@@ -9,18 +9,19 @@ On a grid with a = m*dx this produces, in (A-sites, B-sites) block order,
 a real symmetric matrix of dimension 2P. Because the hop always jumps m
 grid points, the residue classes of the site index mod m never mix: H is
 permutation-similar to m independent open dimerized (SSH) chains whose cell
-counts are ceil((P - r)/m). That decomposition is exact and serves as the
-correctness oracle for the full solver.
+counts are ceil((P - r)/m). All chains share (v0, w0) and there are at most
+two distinct cell counts.
 
-The default eigensolver is an SVD of C, which yields the spectrum as exact
-+-sigma pairs (chiral symmetry built in); full dense diagonalization is
-available as a cross-check.
+The default eigensolver uses that decomposition: one SVD per distinct cell
+count of C restricted to a residue class (a lower-bidiagonal block), whose
+singular values, tiled by multiplicity, give the spectrum as exact +-sigma
+pairs (chiral symmetry built in). Full dense diagonalization of H is the
+cross-check, and dense per-chain diagonalization is the oracle.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,24 +31,8 @@ import scipy.sparse.linalg
 from .errors import GridMismatch, ValidationError
 from .model import FiniteParams, Grid, SpinorGrid, make_grid, validate_finite
 
-THREADS_ENV = "NONLOCAL_SSH_THREADS"
-
 # relative (to |w0|) half-width of the "zero energy" window
 ZERO_TOL_DEFAULT = 1e-8
-
-
-def worker_count() -> int:
-    """Worker cap from the NONLOCAL_SSH_THREADS environment variable (default 1)."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValidationError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -112,22 +97,66 @@ def build_finite(params: FiniteParams) -> FiniteOperator:
 
 @dataclass
 class SpectrumResult:
-    """Sorted eigenvalues, optional eigenvectors, and solver diagnostics."""
+    """Sorted eigenvalues, optional eigenvectors, and solver diagnostics.
+
+    vectors, when requested, is a read-only sequence of 2P states that
+    builds each SpinorGrid only when it is indexed.
+    """
 
     eigenvalues: np.ndarray
-    vectors: list[SpinorGrid] | None
+    vectors: Sequence[SpinorGrid] | None
     method: str
     residual_bound: float
 
 
-def _svd_eigensystem(op: FiniteOperator):
-    # H = [[0,C],[C^T,0]] has eigenpairs (+-s_i, (u_i, +-v_i)/sqrt2) from C = U S V^T
-    u, s, vt = np.linalg.svd(op.c_block.toarray())
-    p = op.n_points
+class _LazyStates(Sequence):
+    """Eigenstates by level index, each built on access."""
+
+    def __init__(self, n: int, build: Callable[[int], SpinorGrid]):
+        self._n = n
+        self._build = build
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, j: int) -> SpinorGrid:
+        return self._build(range(self._n)[j])
+
+
+def _chain_block(n_cells: int, v: float, w: float) -> np.ndarray:
+    """C restricted to one residue class: v on the diagonal, w below it."""
+    block = np.diag(np.full(n_cells, float(v)))
+    block[np.arange(1, n_cells), np.arange(n_cells - 1)] = w
+    return block
+
+
+def _chain_eigensystem(op: FiniteOperator):
+    # A chain's block B = U S V^T gives H eigenpairs (+-s_c, (u_c, +-v_c)/sqrt2)
+    # on its residue class; one SVD serves every chain with that cell count.
+    chains = chain_decomposition(op)
+    blocks = {}
+    for chain in chains:
+        if chain.n_cells not in blocks:
+            blocks[chain.n_cells] = np.linalg.svd(_chain_block(chain.n_cells, chain.v, chain.w))
+    s_all = np.concatenate([blocks[c.n_cells][1] for c in chains])
+    order = np.argsort(-s_all, kind="stable")  # descending, ties in chain order
+    s = s_all[order]
     evals = np.concatenate([-s, s[::-1]])  # ascending, exactly negation-closed
-    cols = np.concatenate([np.arange(p), np.arange(p)[::-1]])
-    signs = np.concatenate([-np.ones(p), np.ones(p)])
-    return evals, u, vt.T, cols, signs
+    owner = np.repeat(np.arange(len(chains)), [c.n_cells for c in chains])[order]
+    column = np.concatenate([np.arange(c.n_cells) for c in chains])[order]
+    p, m = op.n_points, op.hop_steps
+
+    def pair(j):
+        i, sign = (j, -1.0) if j < p else (2 * p - 1 - j, 1.0)
+        chain = chains[owner[i]]
+        u, _, vt = blocks[chain.n_cells]
+        psi_a = np.zeros(p)
+        psi_b = np.zeros(p)
+        psi_a[chain.offset :: m] = u[:, column[i]] / np.sqrt(2.0)
+        psi_b[chain.offset :: m] = sign * vt[column[i]] / np.sqrt(2.0)
+        return psi_a, psi_b
+
+    return evals, pair
 
 
 def _eig_residual(op: FiniteOperator, psi_a, psi_b, lam) -> float:
@@ -139,22 +168,20 @@ def _eig_residual(op: FiniteOperator, psi_a, psi_b, lam) -> float:
 def spectrum(op: FiniteOperator, want_vectors: bool = False, method: str = "svd") -> SpectrumResult:
     """All 2P eigenvalues in ascending order.
 
-    method="svd" (default) builds the spectrum from singular values of C,
-    which enforces the +-E pairing exactly; method="dense" diagonalizes the
-    full symmetric matrix. residual_bound is the largest measured
-    ||H psi - E psi|| over a deterministic sample of eigenpairs.
+    method="svd" (default) solves the box chain by chain: one SVD of the
+    lower-bidiagonal block per distinct cell count, singular values tiled
+    by multiplicity, which enforces the +-E pairing exactly. method="dense"
+    diagonalizes the full symmetric matrix as a cross-check that does not
+    use the decomposition. residual_bound is the largest measured
+    ||H psi - E psi||, with H built from the operator's own c_block, over a
+    deterministic sample of eigenpairs.
     """
     if method not in ("svd", "dense"):
         raise ValidationError(f"method must be 'svd' or 'dense', got {method!r}")
     p = op.n_points
     dim = op.dimension
     if method == "svd":
-        evals, u, v, cols, signs = _svd_eigensystem(op)
-
-        def pair(j):
-            c = cols[j]
-            return u[:, c] / np.sqrt(2.0), signs[j] * v[:, c] / np.sqrt(2.0)
-
+        evals, pair = _chain_eigensystem(op)
     else:
         evals, vecs = np.linalg.eigh(op.to_dense())
 
@@ -166,10 +193,7 @@ def spectrum(op: FiniteOperator, want_vectors: bool = False, method: str = "svd"
 
     vectors = None
     if want_vectors:
-        vectors = []
-        for j in range(dim):
-            pa, pb = pair(j)
-            vectors.append(SpinorGrid(grid=op.grid, psi_a=pa, psi_b=pb))
+        vectors = _LazyStates(dim, lambda j: SpinorGrid(op.grid, *pair(j)))
     return SpectrumResult(
         eigenvalues=np.asarray(evals, dtype=float),
         vectors=vectors,
@@ -245,17 +269,10 @@ def ssh_spectrum(chain: SshChain) -> np.ndarray:
 def decoupled_spectrum(op: FiniteOperator) -> np.ndarray:
     """Union of the chain spectra, sorted. Exact alternative route to spectrum().
 
-    Chains are solved independently (thread pool capped by
-    NONLOCAL_SSH_THREADS); the result does not depend on the worker count.
+    Every chain is diagonalized on its own as a dense symmetric matrix, so
+    this oracle shares no solver with the chain-block SVD of spectrum().
     """
-    chains = chain_decomposition(op)
-    workers = min(worker_count(), len(chains))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(ssh_spectrum, chains))
-    else:
-        parts = [ssh_spectrum(c) for c in chains]
-    return np.sort(np.concatenate(parts))
+    return np.sort(np.concatenate([ssh_spectrum(c) for c in chain_decomposition(op)]))
 
 
 @dataclass(frozen=True)
@@ -322,8 +339,9 @@ def compare_ssh(params: FiniteParams, tol_zero: float | None = None) -> Spectrum
     if tol_zero is None:
         tol_zero = default_zero_tol(params)
     e_box = spectrum(op).eigenvalues
-    chain = SshChain(n_cells=params.n_points, v=params.v0, w=params.w0)
-    e_chain = ssh_spectrum(chain)
+    # the P-cell chain is the m = 1 case of the box's chain block
+    s = np.linalg.svd(_chain_block(params.n_points, params.v0, params.w0), compute_uv=False)
+    e_chain = np.concatenate([-s, s[::-1]])
     return SpectrumComparison(
         e_box=e_box,
         e_chain=e_chain,

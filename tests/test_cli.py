@@ -112,6 +112,22 @@ def test_finite_vectors_written(tmp_path):
     assert data.shape == (41, 3)
 
 
+def test_finite_vectors_rerun_bytes(tmp_path):
+    outs = [tmp_path / run_dir / "levels.csv" for run_dir in ("one", "two")]
+    for out in outs:
+        out.parent.mkdir()
+        r = run("finite", *BOX, "--tol-zero", "0.01", "--vectors", "--out", str(out))
+        assert r.returncode == 0
+        assert json.loads(r.stderr.splitlines()[1])["method"] == "svd"
+    _, levels = _rows(outs[0].read_text())
+    midgap = [int(j) for j, ev in levels if abs(ev) < 0.01]
+    names = [f"levels-state-{j:04d}.csv" for j in midgap]
+    for out in outs:
+        assert sorted(f.name for f in out.parent.glob("levels-state-*")) == names
+    for name in names:
+        assert (outs[0].parent / name).read_bytes() == (outs[1].parent / name).read_bytes()
+
+
 def test_compare_ssh_streams(tmp_path):
     r = run("compare-ssh", *BOX)
     assert r.returncode == 0

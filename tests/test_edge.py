@@ -40,6 +40,24 @@ def test_exponents_closed_form():
         zero_mode_exponents(FiniteParams(v0=1.0, w0=0.0, a=0.2, L=10.0, dx=0.01))
 
 
+@pytest.mark.parametrize("v0, w0", [(0.5, 1.0), (0.5, -1.0), (-0.5, 1.0), (-0.5, -1.0)])
+def test_zero_modes_all_sign_pairs(v0, w0):
+    # the per-hop factor -v0/w0 is negative for equal signs (Im q = +-pi/a)
+    # and positive for opposite signs (Im q = 0)
+    box = FiniteParams(v0=v0, w0=w0, a=0.2, L=10.0, dx=0.01)
+    q_a, q_b = zero_mode_exponents(box)
+    assert np.exp(q_a * box.a) == pytest.approx(-v0 / w0)
+    assert np.exp(q_b * box.a) == pytest.approx(-w0 / v0)
+    op = build_finite(box)
+    for comp, labels, sign in (("A", EdgeLabels(n=3, m=1), -1.0),
+                               ("B", EdgeLabels(n=5, m=2), +1.0)):
+        st = build_zero_mode(box, comp, labels).state
+        assert operator_residual(op, st) < 1e-10
+        psi = st.psi_a if comp == "A" else st.psi_b
+        fit = localization_fit(op.grid, psi, box.a)
+        assert fit.slope == pytest.approx(sign * RATE, rel=0.02)
+
+
 def test_phase_label_values():
     # (2m+1) pi/2 + n pi L/a with L/a = 50
     assert phase_label(3, 1, BOX) == pytest.approx(1.5 * np.pi + 150 * np.pi)

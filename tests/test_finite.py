@@ -6,7 +6,6 @@ from nonlocal_ssh.errors import ValidationError
 from nonlocal_ssh.finite import (
     FiniteOperator,
     SshChain,
-    THREADS_ENV,
     build_finite,
     chain_decomposition,
     compare_ssh,
@@ -16,7 +15,6 @@ from nonlocal_ssh.finite import (
     ssh_chain_matrix,
     ssh_spectrum,
     symmetry_residuals,
-    worker_count,
     zero_mode_count,
 )
 from nonlocal_ssh.model import FiniteParams, SpinorGrid, make_grid
@@ -96,10 +94,28 @@ def test_spectrum_vectors_are_eigenvectors():
     op = build_finite(SMALL)
     res = spectrum(op, want_vectors=True)
     h = op.to_dense()
-    for j in (0, 5, op.n_points, op.dimension - 1):
+    assert len(res.vectors) == op.dimension
+    for j in range(op.dimension):
         st = res.vectors[j]
         vec = np.concatenate([st.psi_a, st.psi_b])
         assert np.linalg.norm(h @ vec - res.eigenvalues[j] * vec) < 1e-12
+
+
+@pytest.mark.parametrize("geometry", [
+    dict(a=0.3, L=2.0, dx=0.1),  # P = 21, m = 3: one cell count
+    dict(a=0.3, L=2.1, dx=0.1),  # P = 22, m = 3: cell counts 8 and 7
+    dict(a=0.1, L=2.0, dx=0.1),  # m = 1: a single chain
+], ids=["even", "uneven", "single"])
+@pytest.mark.parametrize("phase", [(0.6, 1.3), (1.3, 0.6)], ids=["topological", "trivial"])
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)],
+                         ids=["++", "+-", "-+", "--"])
+def test_chain_route_matches_oracles(signs, phase, geometry):
+    p = FiniteParams(v0=signs[0] * phase[0], w0=signs[1] * phase[1], **geometry)
+    op = build_finite(p)
+    ev = spectrum(op).eigenvalues
+    assert np.max(np.abs(ev - np.linalg.eigvalsh(op.to_dense()))) < 1e-10
+    assert np.max(np.abs(ev - decoupled_spectrum(op))) < 1e-10
+    assert np.array_equal(ev, -ev[::-1])
 
 
 def test_chain_decomposition_sizes():
@@ -119,28 +135,6 @@ def test_decoupling_oracle_small():
     assert np.max(np.abs(np.sort(full) - dec)) < 1e-12
 
 
-def test_decoupling_thread_count_invariance(monkeypatch):
-    op = build_finite(SMALL)
-    monkeypatch.delenv(THREADS_ENV, raising=False)
-    one = decoupled_spectrum(op)
-    monkeypatch.setenv(THREADS_ENV, "4")
-    four = decoupled_spectrum(op)
-    assert np.array_equal(one, four)
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv(THREADS_ENV, raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv(THREADS_ENV, "6")
-    assert worker_count() == 6
-    monkeypatch.setenv(THREADS_ENV, "0")
-    with pytest.raises(ValidationError):
-        worker_count()
-    monkeypatch.setenv(THREADS_ENV, "lots")
-    with pytest.raises(ValidationError):
-        worker_count()
-
-
 def test_symmetry_residuals_structural():
     res = symmetry_residuals(build_finite(SMALL))
     assert res.chiral == 0.0
@@ -148,17 +142,29 @@ def test_symmetry_residuals_structural():
     assert res.h_norm > 0.0
 
 
-def test_symmetry_detects_broken_parity():
-    # hand-built operator with one extra hop: still chiral, not parity
-    # (the entry must avoid the anti-diagonal, which parity fixes)
+def _extra_hop_operator():
+    # hand-built operator with one extra hop from grid point 1 to 0: it
+    # mixes two residue classes, so it breaks the chain structure, and it
+    # avoids the anti-diagonal, which parity fixes
     p = SMALL
-    op0 = build_finite(p)
-    c = op0.c_block.toarray()
+    c = build_finite(p).c_block.toarray()
     c[0, 1] += 0.5
-    op = FiniteOperator(params=p, grid=make_grid(p), c_block=sp.csr_array(c))
-    res = symmetry_residuals(op)
+    return FiniteOperator(params=p, grid=make_grid(p), c_block=sp.csr_array(c))
+
+
+def test_symmetry_detects_broken_parity():
+    # still chiral, not parity
+    res = symmetry_residuals(_extra_hop_operator())
     assert res.chiral == 0.0
     assert res.parity > 0.1
+
+
+def test_residual_bound_measured_on_operator_c_block():
+    # the chain route solves the blocks implied by the parameters; the
+    # residual must expose that they are not this operator's C
+    op = _extra_hop_operator()
+    assert spectrum(op).residual_bound > 0.1
+    assert spectrum(op, method="dense").residual_bound < 1e-12
 
 
 def test_zero_mode_window_is_strict():
