@@ -17,6 +17,10 @@ count of C restricted to a residue class (a lower-bidiagonal block), whose
 singular values, tiled by multiplicity, give the spectrum as exact +-sigma
 pairs (chiral symmetry built in). Full dense diagonalization of H is the
 cross-check, and dense per-chain diagonalization is the oracle.
+
+C itself is kept as its two diagonals (HopBlock) and applied with numpy
+slices; dense copies of C or H are made only on request, below a fixed
+size ceiling.
 """
 
 from __future__ import annotations
@@ -25,8 +29,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from .errors import GridMismatch, ValidationError
 from .model import FiniteParams, Grid, SpinorGrid, make_grid, validate_finite
@@ -34,14 +36,82 @@ from .model import FiniteParams, Grid, SpinorGrid, make_grid, validate_finite
 # relative (to |w0|) half-width of the "zero energy" window
 ZERO_TOL_DEFAULT = 1e-8
 
+# largest dense array (in elements) the dense routes may allocate: 2**26
+# float64 entries are 512 MiB, which admits boxes up to 8192 levels
+DENSE_MAX_ELEMENTS = 2**26
+
+
+def _require_dense_size(n_elements: int, what: str) -> None:
+    if n_elements > DENSE_MAX_ELEMENTS:
+        raise ValidationError(
+            f"{what} would need {n_elements} dense elements, above the ceiling "
+            f"DENSE_MAX_ELEMENTS = {DENSE_MAX_ELEMENTS}"
+        )
+
+
+class HopBlock:
+    """C = v0*I + w0*S_m (or its transpose) stored as its two diagonals.
+
+    S_m shifts by m grid points: (S_m x)[i] = x[i - m] for i >= m and 0
+    otherwise, so row i of C holds v0 at column i and w0 at column i - m.
+    The transposed block holds w0 at column i + m instead.
+    """
+
+    __slots__ = ("v0", "w0", "m", "n", "transposed")
+
+    def __init__(self, v0: float, w0: float, m: int, n: int, transposed: bool = False):
+        if m < 1 or n < 1:
+            raise ValidationError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+        self.v0 = float(v0)
+        self.w0 = float(w0)
+        self.m = int(m)
+        self.n = int(n)
+        self.transposed = bool(transposed)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n, self.n)
+
+    @property
+    def T(self) -> HopBlock:
+        return HopBlock(self.v0, self.w0, self.m, self.n, not self.transposed)
+
+    def __matmul__(self, x) -> np.ndarray:
+        """This block times x along its first axis, as a new array; x is left untouched."""
+        x = np.asarray(x)
+        if x.shape[:1] != (self.n,):
+            raise GridMismatch(f"operand has leading size {x.shape[:1]}, block is {self.shape}")
+        m = self.m
+        out = self.v0 * x
+        if self.transposed:
+            out[:-m] += self.w0 * x[m:]
+        else:
+            out[m:] += self.w0 * x[:-m]
+        return out
+
+    def toarray(self) -> np.ndarray:
+        """The dense n x n matrix."""
+        idx = np.arange(self.n)
+        rows, cols = idx[self.m :], idx[: -self.m]
+        if self.transposed:
+            rows, cols = cols, rows
+        c = np.zeros((self.n, self.n))
+        c[idx, idx] = self.v0
+        c[rows, cols] = self.w0
+        return c
+
 
 @dataclass(frozen=True)
 class FiniteOperator:
-    """The box Hamiltonian, stored as its P x P coupling block C."""
+    """The box Hamiltonian, stored as its P x P coupling block C.
+
+    c_block is anything with @, .T and toarray() for a P x P matrix;
+    build_finite stores a HopBlock.
+    """
 
     params: FiniteParams
     grid: Grid
-    c_block: sp.csr_array
+    c_block: HopBlock
 
     @property
     def n_points(self) -> int:
@@ -55,12 +125,15 @@ class FiniteOperator:
     def hop_steps(self) -> int:
         return self.params.hop_steps
 
-    def matrix(self) -> sp.csr_array:
-        """Full 2P x 2P sparse matrix in (A, B) block order."""
-        return sp.block_array([[None, self.c_block], [self.c_block.T, None]], format="csr")
-
     def to_dense(self) -> np.ndarray:
-        return self.matrix().toarray()
+        """Full 2P x 2P matrix in (A, B) block order; refuses above DENSE_MAX_ELEMENTS."""
+        p = self.n_points
+        _require_dense_size((2 * p) ** 2, "the dense box Hamiltonian")
+        c = self.c_block.toarray()
+        h = np.zeros((2 * p, 2 * p), dtype=c.dtype)
+        h[:p, p:] = c
+        h[p:, :p] = c.T
+        return h
 
     def apply(self, spinor: SpinorGrid) -> SpinorGrid:
         """H acting on a sampled spinor."""
@@ -87,12 +160,8 @@ def build_finite(params: FiniteParams) -> FiniteOperator:
     coupling profile outside [-L/2, L/2] dictates.
     """
     validate_finite(params)
-    p = params.n_points
-    m = params.hop_steps
-    c = sp.diags_array([np.full(p, params.v0)], offsets=[0], shape=(p, p))
-    if m < p:
-        c = c + sp.diags_array([np.full(p - m, params.w0)], offsets=[-m], shape=(p, p))
-    return FiniteOperator(params=params, grid=make_grid(params), c_block=sp.csr_array(c))
+    c = HopBlock(params.v0, params.w0, params.hop_steps, params.n_points)
+    return FiniteOperator(params=params, grid=make_grid(params), c_block=c)
 
 
 @dataclass
@@ -216,13 +285,12 @@ class SshChain:
     """Open dimerized chain: n_cells cells, intra-cell v, inter-cell w.
 
     offset records the grid residue class the chain came from (its first
-    cell sits at grid index offset); boundary is always open here.
+    cell sits at grid index offset).
     """
 
     n_cells: int
     v: float
     w: float
-    boundary: str = "open"
     offset: int = 0
 
 
@@ -248,8 +316,6 @@ def ssh_chain_matrix(chain: SshChain) -> np.ndarray:
     """Dense 2n x 2n matrix in interleaved (A1, B1, A2, B2, ...) order."""
     if chain.n_cells < 1:
         raise ValidationError("chain must have at least one cell")
-    if chain.boundary != "open":
-        raise ValidationError(f"only open chains are supported, got {chain.boundary!r}")
     n = chain.n_cells
     h = np.zeros((2 * n, 2 * n))
     for j in range(n):
@@ -287,20 +353,24 @@ class SymmetryResiduals:
 def symmetry_residuals(op: FiniteOperator) -> SymmetryResiduals:
     """Chiral defect ||{H, Sz}||_F and inversion defect ||[H, X]||_F.
 
-    Sz is +1 on A sites and -1 on B sites; X maps (A, x) <-> (B, -x). On
-    the symmetric grid both defects are structural zeros; an asymmetric
-    c_block (hand-built operators) reports a positive parity defect rather
-    than raising.
+    Sz is +1 on A sites and -1 on B sites; X maps (A, x) <-> (B, -x). Both
+    are evaluated on the dense P x P block C (refused above
+    DENSE_MAX_ELEMENTS). H has no diagonal blocks, so {H, Sz} has only the
+    off-diagonal blocks -C + C and C^T - C^T. With R the reversal,
+    [H, X] = diag(CR - RC^T, C^TR - RC), and both blocks have the Frobenius
+    norm of C - R C^T R = C - flip(C)^T, hence parity = sqrt2 ||C - flip(C)^T||_F
+    and ||H||_F = sqrt2 ||C||_F. On the symmetric grid both defects are
+    structural zeros; an asymmetric c_block (hand-built operators) reports a
+    positive parity defect rather than raising.
     """
     p = op.n_points
-    h = op.matrix()
-    sz = sp.diags_array([np.concatenate([np.ones(p), -np.ones(p)])], offsets=[0])
-    rev = sp.csr_array((np.ones(p), (np.arange(p), np.arange(p)[::-1])), shape=(p, p))
-    x = sp.block_array([[None, rev], [rev, None]], format="csr")
-    chiral = sp.linalg.norm(h @ sz + sz @ h, "fro")
-    parity = sp.linalg.norm(h @ x - x @ h, "fro")
+    _require_dense_size(p * p, "the dense coupling block for symmetry_residuals")
+    c = op.c_block.toarray()
+    sz_a, sz_b = 1.0, -1.0
+    chiral = np.hypot(np.linalg.norm(c * sz_b + sz_a * c), np.linalg.norm(c.T * sz_a + sz_b * c.T))
+    parity = np.sqrt(2.0) * np.linalg.norm(c - c[::-1, ::-1].T)
     return SymmetryResiduals(
-        chiral=float(chiral), parity=float(parity), h_norm=float(sp.linalg.norm(h, "fro"))
+        chiral=float(chiral), parity=float(parity), h_norm=float(np.sqrt(2.0) * np.linalg.norm(c))
     )
 
 

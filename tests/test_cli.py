@@ -223,3 +223,33 @@ def test_out_file_and_rerun_bytes(tmp_path):
     assert out.read_bytes() == first
     head, data = _rows(out.read_text())
     assert data.shape == (201, 4)
+
+
+_LIST_SCIPY = "print('SCIPY', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+def _scipy_modules_in_child(code):
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    line = [ln for ln in r.stdout.splitlines() if ln.startswith("SCIPY ")][-1]
+    return line[len("SCIPY "):]
+
+
+def test_import_loads_no_scipy():
+    assert _scipy_modules_in_child("import sys\nimport nonlocal_ssh\n" + _LIST_SCIPY) == "[]"
+
+
+def test_cli_zak_loads_no_scipy():
+    # runs the package as `python -m nonlocal_ssh zak ...` does, then looks
+    # at what the run left in sys.modules
+    argv = ["nonlocal_ssh", "zak", *BULK]
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = {argv!r}\n"
+        "try:\n"
+        "    runpy.run_module('nonlocal_ssh', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        + _LIST_SCIPY
+    )
+    assert _scipy_modules_in_child(code) == "[]"

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from nonlocal_ssh.errors import ValidationError
 from nonlocal_ssh.finite import (
+    DENSE_MAX_ELEMENTS,
     FiniteOperator,
+    HopBlock,
     SshChain,
     build_finite,
     chain_decomposition,
@@ -57,8 +61,6 @@ def test_chain_matrix_layout():
     assert np.array_equal(h, want)
     with pytest.raises(ValidationError):
         ssh_chain_matrix(SshChain(n_cells=0, v=1.0, w=1.0))
-    with pytest.raises(ValidationError):
-        ssh_chain_matrix(SshChain(n_cells=2, v=1.0, w=1.0, boundary="periodic"))
 
 
 def test_svd_and_dense_agree():
@@ -116,6 +118,83 @@ def test_chain_route_matches_oracles(signs, phase, geometry):
     assert np.max(np.abs(ev - np.linalg.eigvalsh(op.to_dense()))) < 1e-10
     assert np.max(np.abs(ev - decoupled_spectrum(op))) < 1e-10
     assert np.array_equal(ev, -ev[::-1])
+
+
+def _reference_c(v0, w0, m, p):
+    # row i couples grid point i (v0) and grid point i - m (w0)
+    c = np.zeros((p, p))
+    for i in range(p):
+        c[i, i] = v0
+        if i - m >= 0:
+            c[i, i - m] = w0
+    return c
+
+
+@pytest.mark.parametrize("p, m", [(9, 1), (9, 8), (10, 3), (12, 3), (6, 6), (4, 7)],
+                         ids=["m=1", "m=P-1", "uneven", "even", "m=P", "m>P"])
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)],
+                         ids=["++", "+-", "-+", "--"])
+def test_hop_block_matches_reference(signs, p, m):
+    v0, w0 = signs[0] * 0.7, signs[1] * 1.3
+    block = HopBlock(v0, w0, m, p)
+    want = _reference_c(v0, w0, m, p)
+    assert block.shape == (p, p)
+    assert np.array_equal(block.toarray(), want)
+    assert np.array_equal(block.T.toarray(), want.T)
+    assert np.array_equal(block.T.T.toarray(), want)
+    rng = np.random.default_rng(p * 100 + m)
+    for x in (rng.normal(size=p),
+              rng.normal(size=p) + 1j * rng.normal(size=p),
+              rng.normal(size=(p, 3)) + 1j * rng.normal(size=(p, 3))):
+        keep = x.copy()
+        got, got_t = block @ x, block.T @ x
+        assert np.array_equal(x, keep)  # the operand is never written to
+        assert got is not x and got_t is not x
+        assert np.allclose(got, want @ x, rtol=0.0, atol=1e-14)
+        assert np.allclose(got_t, want.T @ x, rtol=0.0, atol=1e-14)
+
+
+def test_hop_block_rejects_bad_shapes():
+    with pytest.raises(ValidationError):
+        HopBlock(1.0, 1.0, 0, 5)
+    with pytest.raises(ValidationError):
+        HopBlock(1.0, 1.0, 2, 5) @ np.ones(6)
+
+
+def test_build_finite_stores_hop_block():
+    op = build_finite(SMALL)
+    assert isinstance(op.c_block, HopBlock)
+    assert (op.c_block.m, op.c_block.n) == (op.hop_steps, op.n_points)
+    assert np.array_equal(
+        op.c_block.toarray(), _reference_c(SMALL.v0, SMALL.w0, op.hop_steps, op.n_points)
+    )
+
+
+def test_dense_routes_refuse_large_box():
+    # P = 40001: the dense C alone would be 12.8 GB, the dense H four times that
+    op = build_finite(FiniteParams(v0=0.5, w0=1.0, a=0.2, L=400.0, dx=0.01))
+    assert op.n_points == 40001
+    assert op.n_points**2 > DENSE_MAX_ELEMENTS
+    routes = (op.to_dense, lambda: spectrum(op, method="dense"), lambda: symmetry_residuals(op))
+    tracemalloc.start()
+    try:
+        for route in routes:
+            with pytest.raises(ValidationError):
+                route()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # refused before allocating
+    # apply() still serves this box in O(P)
+    ones = np.ones(op.n_points)
+    out = op.apply(SpinorGrid(grid=op.grid, psi_a=ones, psi_b=ones))
+    assert out.psi_a[0] == 0.5 and out.psi_a[-1] == 1.5
+
+
+def test_dense_ceiling_admits_acceptance_box():
+    # the ceiling leaves the 2002-level box's dense H a margin of 8x
+    p = FiniteParams(v0=0.5, w0=1.0, a=0.2, L=10.0, dx=0.01)
+    assert 8 * build_finite(p).dimension ** 2 <= DENSE_MAX_ELEMENTS
 
 
 def test_chain_decomposition_sizes():
