@@ -162,14 +162,13 @@ def localization_fit(grid: Grid, values: np.ndarray, a: float) -> LocalizationFi
     if values.shape != (grid.n,):
         raise ValidationError(f"values must have shape ({grid.n},), got {values.shape}")
     m = max(1, round(a / grid.dx))
-    mags = np.abs(values)
-    peaks, locs = [], []
-    for start in range(0, grid.n - m + 1, m):
-        block = mags[start : start + m]
-        j = int(np.argmax(block))
-        if block[j] > 0.0:
-            peaks.append(block[j])
-            locs.append(grid.x[start + j])
+    k = grid.n // m  # full windows; a shorter tail is dropped
+    windows = np.abs(values)[: k * m].reshape(k, m)
+    j = np.argmax(windows, axis=1)
+    peaks = windows[np.arange(k), j]
+    keep = peaks > 0.0
+    peaks = peaks[keep]
+    locs = grid.x[(np.arange(k) * m + j)[keep]]
     if len(peaks) < MIN_PEAKS:
         raise InsufficientPeaks(
             f"need at least {MIN_PEAKS} envelope maxima, found {len(peaks)}"

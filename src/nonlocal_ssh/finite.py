@@ -193,7 +193,11 @@ class _LazyStates(Sequence):
 
 
 def _chain_block(n_cells: int, v: float, w: float) -> np.ndarray:
-    """C restricted to one residue class: v on the diagonal, w below it."""
+    """C restricted to one residue class: v on the diagonal, w below it.
+
+    Dense n x n, so it refuses above DENSE_MAX_ELEMENTS before allocating.
+    """
+    _require_dense_size(n_cells**2, f"the dense block of a {n_cells}-cell chain")
     block = np.diag(np.full(n_cells, float(v)))
     block[np.arange(1, n_cells), np.arange(n_cells - 1)] = w
     return block
@@ -408,10 +412,11 @@ def compare_ssh(params: FiniteParams, tol_zero: float | None = None) -> Spectrum
     op = build_finite(params)
     if tol_zero is None:
         tol_zero = default_zero_tol(params)
-    e_box = spectrum(op).eigenvalues
-    # the P-cell chain is the m = 1 case of the box's chain block
+    # the P-cell chain is the m = 1 case of the box's chain block; it is the
+    # larger block, so its size guard runs before the box is solved
     s = np.linalg.svd(_chain_block(params.n_points, params.v0, params.w0), compute_uv=False)
     e_chain = np.concatenate([-s, s[::-1]])
+    e_box = spectrum(op).eigenvalues
     return SpectrumComparison(
         e_box=e_box,
         e_chain=e_chain,

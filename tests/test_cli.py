@@ -188,6 +188,18 @@ def test_validation_exit_codes(tmp_path):
     assert run(*crooked).returncode == 2
 
 
+def test_long_chain_blocks_exit_2():
+    # dense chain blocks of 40001 (finite, m = 1) and 10001 cells (the
+    # compare-ssh chain) exceed DENSE_MAX_ELEMENTS: refused, nothing written
+    box = ("--v0", "0.5", "--w0", "1", "--dx", "0.01")
+    for args in (("finite", *box, "--a", "0.01", "--L", "400"),
+                 ("compare-ssh", *box, "--a", "0.2", "--L", "100")):
+        r = run(*args)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "DENSE_MAX_ELEMENTS" in r.stderr
+
+
 def test_numerical_exit_code():
     # gap closes at |v| = |w|: the Wilson loop refuses
     r = run("zak", "--v", "1", "--w", "-1", "--a", "1")

@@ -135,6 +135,37 @@ def test_localization_slopes():
     assert fit_b.slope == pytest.approx(+RATE, rel=1e-6)
 
 
+def _loop_localization_fit(grid, values, a):
+    # the per-window loop the vectorized fit replaced
+    m = max(1, round(a / grid.dx))
+    mags = np.abs(values)
+    peaks, locs = [], []
+    for start in range(0, grid.n - m + 1, m):
+        block = mags[start : start + m]
+        j = int(np.argmax(block))
+        if block[j] > 0.0:
+            peaks.append(block[j])
+            locs.append(grid.x[start + j])
+    slope, intercept = np.polyfit(locs, np.log(peaks), 1)
+    return float(slope), float(intercept), len(peaks)
+
+
+def test_localization_fit_matches_loop_reference():
+    grid = make_grid(BOX)
+    m = round(BOX.a / BOX.dx)
+    assert grid.n % m != 0  # a partial window at the end is dropped
+    mode = build_zero_mode(BOX, "B", EdgeLabels(n=5, m=2)).state.psi_b
+    leading_zeros = mode.copy()
+    leading_zeros[: 3 * m + 7] = 0.0
+    leading_zeros[20 * m : 21 * m] = 0.0
+    ties = np.random.default_rng(5).integers(0, 3, grid.n).astype(float)  # many equal maxima
+    ties[: 2 * m] = 0.0
+    for values in (mode, leading_zeros, ties, -1j * mode):
+        fit = localization_fit(grid, values, BOX.a)
+        assert (fit.slope, fit.intercept, fit.n_peaks) == _loop_localization_fit(grid, values, BOX.a)
+    assert localization_fit(grid, leading_zeros, BOX.a).n_peaks == grid.n // m - 4
+
+
 def test_localization_flat_at_equal_couplings():
     flat = FiniteParams(v0=1.0, w0=1.0, a=0.2, L=10.0, dx=0.01)
     mode = build_zero_mode(flat, "A", EdgeLabels(n=3, m=1))

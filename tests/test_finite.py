@@ -191,6 +191,28 @@ def test_dense_routes_refuse_large_box():
     assert out.psi_a[0] == 0.5 and out.psi_a[-1] == 1.5
 
 
+def test_chain_block_guard_refuses_long_chains():
+    # m = 1 makes the whole box one 40001-cell chain (block 12.8 GB dense);
+    # compare_ssh's single chain has P = 10001 cells (0.8 GB) even though
+    # this box's own chains (m = 20) have about 500 cells each
+    single = FiniteParams(v0=0.5, w0=1.0, a=0.01, L=400.0, dx=0.01)
+    wide = FiniteParams(v0=0.5, w0=1.0, a=0.2, L=100.0, dx=0.01)
+    assert (single.hop_steps, single.n_points) == (1, 40001)
+    assert (wide.hop_steps, wide.n_points) == (20, 10001)
+    assert wide.n_points**2 > DENSE_MAX_ELEMENTS
+    op = build_finite(single)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="40001-cell chain"):
+            spectrum(op)
+        with pytest.raises(ValidationError, match="10001-cell chain"):
+            compare_ssh(wide)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # refused before allocating
+
+
 def test_dense_ceiling_admits_acceptance_box():
     # the ceiling leaves the 2002-level box's dense H a margin of 8x
     p = FiniteParams(v0=0.5, w0=1.0, a=0.2, L=10.0, dx=0.01)

@@ -5,6 +5,7 @@ import pytest
 
 from nonlocal_ssh.errors import SerializationError, ValidationError
 from nonlocal_ssh.serialize import (
+    _CSV_CHUNK_VALUES,
     ResultEnvelope,
     Table,
     complex_fields,
@@ -38,6 +39,63 @@ def test_emit_csv():
     buf = io.StringIO()
     emit_csv(t, buf)
     assert buf.getvalue() == "k,e\n0,1.5\n0.5,-0.25\n"
+
+
+def _reference_csv(table):
+    # one format_float call per value: the emitter the chunked one replaced
+    lines = [",".join(table.columns)]
+    lines += [",".join(format_float(x) for x in row) for row in table.rows]
+    return "\n".join(lines) + "\n"
+
+
+_TINY = np.finfo(float).tiny
+_MAX = np.finfo(float).max
+SPECIAL_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, _TINY * (1 - 2**-52), _TINY, -_TINY,
+    _MAX, -_MAX, 1e16, -1e16, 2.0**53 + 2, 123456789012345678.0, 1e22, 1e300,
+    0.1, 1.0 / 3.0, -2.5,
+]
+
+
+def _csv_values(n_values):
+    values = RNG.normal(size=n_values) * 10.0 ** RNG.integers(-320, 306, n_values)
+    k = min(n_values, len(SPECIAL_VALUES))
+    values[:k] = SPECIAL_VALUES[:k]
+    values[n_values - k :] = SPECIAL_VALUES[::-1][:k]
+    return values
+
+
+def _chunk_rows(ncols):
+    return _CSV_CHUNK_VALUES // ncols
+
+
+@pytest.mark.parametrize("ncols", [1, 9])
+@pytest.mark.parametrize("shape", ["empty", "one", "chunk-1", "chunk", "chunk+1", "chunks"])
+def test_emit_csv_matches_per_value_reference(ncols, shape):
+    chunk = _chunk_rows(ncols)
+    nrows = {"empty": 0, "one": 1, "chunk-1": chunk - 1, "chunk": chunk,
+             "chunk+1": chunk + 1, "chunks": 3 * chunk + 7}[shape]
+    rows = _csv_values(nrows * ncols).reshape(nrows, ncols)
+    table = Table(columns=[f"c{j}" for j in range(ncols)], rows=rows)
+    buf = io.StringIO()
+    emit_csv(table, buf)
+    assert buf.getvalue() == _reference_csv(table)
+    assert buf.getvalue().count("\n") == nrows + 1
+
+
+@pytest.mark.parametrize("ncols", [1, 9])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("where", ["first row", "last row of a later chunk"])
+def test_emit_csv_refuses_non_finite_before_writing(ncols, bad, where):
+    chunk = _chunk_rows(ncols)
+    rows = _csv_values(3 * chunk * ncols).reshape(3 * chunk, ncols)
+    row = 0 if where == "first row" else 2 * chunk - 1
+    rows[row, ncols // 2] = bad
+    rows[-1, -1] = float("inf") if np.isnan(bad) else float("nan")  # a later, different one
+    buf = io.StringIO()
+    with pytest.raises(SerializationError, match=f"non-finite value {bad!r}"):
+        emit_csv(Table(columns=[f"c{j}" for j in range(ncols)], rows=rows), buf)
+    assert buf.getvalue() == ""
 
 
 def test_table_shape_guard():
