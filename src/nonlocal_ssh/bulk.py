@@ -18,6 +18,7 @@ so any per-k phase choice cancels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,12 @@ def energy_bands(params: BulkParams, k):
     validate_bulk(params)
     k = np.asarray(k, dtype=float)
     v, w, a = params.v, params.w, params.a
-    e = np.sqrt(v * v + w * w + 2.0 * v * w * np.cos(a * k))
+    # dividing by a power of two near max(|v|, |w|) keeps the squares from
+    # overflowing (couplings above ~1e154) and is exact, so ordinary
+    # couplings give the unscaled formula's bits
+    s = math.ldexp(1.0, math.frexp(max(abs(v), abs(w)))[1])
+    v, w = v / s, w / s
+    e = s * np.sqrt(v * v + w * w + 2.0 * v * w * np.cos(a * k))
     return BandPoint(k=k, e_minus=-e, e_plus=e)
 
 

@@ -17,6 +17,9 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import os
 import sys
 import time
 from pathlib import Path
@@ -69,10 +72,39 @@ def _box_params(args) -> FiniteParams:
     return FiniteParams(v0=got["v0"], w0=got["w0"], a=got["a"], L=got["L"], dx=got["dx"])
 
 
+@contextlib.contextmanager
+def _replacing(out):
+    """Text stream for the file `out` that replaces it only if the block succeeds.
+
+    A regular (or not yet existing) target is written through a sibling
+    temporary file that os.replace moves onto it at the end, so a refused
+    run leaves an existing file as it was; the temporary file is removed on
+    failure. Symlinks are followed, and a replaced file keeps its
+    permission bits. Anything else (a device, a pipe) is opened directly,
+    as there is no file to keep.
+    """
+    if os.path.exists(out) and not os.path.isfile(out):
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        return
+    target = Path(os.path.realpath(out))
+    tmp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+        if target.exists():  # keep the replaced file's permissions
+            os.chmod(tmp, target.stat().st_mode & 0o7777)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_table(table: Table, out: str | None, inputs: dict) -> None:
     emit_json({"inputs": inputs}, sys.stderr)
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        with _replacing(out) as fh:
             emit_csv(table, fh)
     else:
         emit_csv(table, sys.stdout)
@@ -80,7 +112,7 @@ def _write_table(table: Table, out: str | None, inputs: dict) -> None:
 
 def _write_table_and_json(table: Table, doc: dict, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        with _replacing(out) as fh:
             emit_csv(table, fh)
         emit_json(doc, sys.stdout)
     else:
@@ -200,7 +232,7 @@ def _cmd_finite(args) -> int:
                 rows=np.column_stack([op.grid.x, np.abs(state.psi_a), np.abs(state.psi_b)]),
             )
             name = base.with_name(f"{base.stem}-state-{j:04d}{base.suffix or '.csv'}")
-            with open(name, "w", encoding="utf-8", newline="") as fh:
+            with _replacing(name) as fh:
                 emit_csv(st, fh)
     return 0
 
@@ -261,7 +293,7 @@ def _cmd_edge(args) -> int:
 
 def _emit_envelope(envelope: ResultEnvelope, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        with _replacing(out) as fh:
             emit_json(envelope.payload(), fh)
     else:
         emit_json(envelope.payload(), sys.stdout)
@@ -335,8 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves a parser unchanged, so one parser serves every main()
+# call in a process
+_cached_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _cached_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

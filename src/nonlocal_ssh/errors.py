@@ -19,7 +19,7 @@ class NonPositiveScale(ValidationError):
 
 
 class DegenerateCouplings(ValidationError):
-    """v = w = 0: the Hamiltonian vanishes identically."""
+    """v = w = 0 (or v0 = w0 = 0 in the box): the Hamiltonian vanishes identically."""
 
 
 class NonCommensurate(ValidationError):

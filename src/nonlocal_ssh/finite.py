@@ -232,12 +232,6 @@ def _chain_eigensystem(op: FiniteOperator):
     return evals, pair
 
 
-def _eig_residual(op: FiniteOperator, psi_a, psi_b, lam) -> float:
-    ha = op.c_block @ psi_b
-    hb = op.c_block.T @ psi_a
-    return float(np.sqrt(np.sum(np.abs(ha - lam * psi_a) ** 2) + np.sum(np.abs(hb - lam * psi_b) ** 2)))
-
-
 def spectrum(op: FiniteOperator, want_vectors: bool = False, method: str = "svd") -> SpectrumResult:
     """All 2P eigenvalues in ascending order.
 
@@ -261,8 +255,14 @@ def spectrum(op: FiniteOperator, want_vectors: bool = False, method: str = "svd"
         def pair(j):
             return vecs[:p, j], vecs[p:, j]
 
+    # the sampled pairs as the columns of two P x k blocks, so C and C^T
+    # are applied once each
     sample = sorted(set(np.linspace(0, dim - 1, 17, dtype=int)) | {p - 1, p})
-    residual = max(_eig_residual(op, *pair(j), evals[j]) for j in sample)
+    psi_a, psi_b = (np.stack(cols, axis=1) for cols in zip(*map(pair, sample)))
+    lam = evals[sample]
+    defect_a = np.abs(op.c_block @ psi_b - lam * psi_a) ** 2
+    defect_b = np.abs(op.c_block.T @ psi_a - lam * psi_b) ** 2
+    residual = float(np.sqrt(np.max(defect_a.sum(axis=0) + defect_b.sum(axis=0))))
 
     vectors = None
     if want_vectors:

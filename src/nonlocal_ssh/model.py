@@ -112,6 +112,8 @@ def validate_finite(params: FiniteParams) -> FiniteParams:
     for name in ("a", "L", "dx"):
         if getattr(params, name) <= 0.0:
             raise NonPositiveScale(f"{name} must be positive, got {getattr(params, name)}")
+    if params.v0 == 0.0 and params.w0 == 0.0:
+        raise DegenerateCouplings("v0 = w0 = 0 gives the zero Hamiltonian")
     if not params.L > params.a:
         raise ValidationError(
             f"box length L = {params.L} must exceed the hop distance a = {params.a}"

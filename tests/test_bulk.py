@@ -39,6 +39,29 @@ def test_band_dispersion_formula():
         assert np.allclose(bp.e_minus, -ref, atol=1e-14)
 
 
+def test_bands_beyond_squaring_range():
+    # v*v overflows above ~1e154; the bands |v + w e^{-iak}| do not
+    k = np.linspace(-np.pi, np.pi, 101)
+    for v, w in [(1e200, 1.5e200), (-3e250, 1e249), (1e-200, -2e-200)]:
+        bp = energy_bands(BulkParams(v=v, w=w, a=1.0), k)
+        ref = np.abs(v + w * np.exp(-1j * k))
+        assert np.all(np.isfinite(bp.e_plus))
+        assert np.allclose(bp.e_plus, ref, rtol=1e-15, atol=0)
+        assert np.array_equal(bp.e_minus, -bp.e_plus)
+
+
+def test_band_scaling_is_bit_identical():
+    # scaling by a power of two is exact: where the plain formula neither
+    # overflows nor underflows it gives the same bits
+    rng = np.random.default_rng(154)
+    k = rng.uniform(-10, 10, 64)
+    for _ in range(200):
+        v, w = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-100, 100, 2)
+        a = rng.uniform(0.1, 3.0)
+        plain = np.sqrt(v * v + w * w + 2.0 * v * w * np.cos(a * k))
+        assert np.array_equal(energy_bands(BulkParams(v=v, w=w, a=a), k).e_plus, plain)
+
+
 def test_band_periodicity():
     k = RNG.uniform(-20, 20, 100)
     for a in (0.2, 1.0, 3.0):

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+
+from nonlocal_ssh import bulk, cli, finite
 
 
 def run(*args):
@@ -231,10 +234,104 @@ def test_out_file_and_rerun_bytes(tmp_path):
     assert r.returncode == 0
     assert r.stdout == ""
     first = out.read_bytes()
+    assert first == run("bands", *BULK).stdout.encode()
     run("bands", *BULK, "--out", str(out))
     assert out.read_bytes() == first
+    assert [f.name for f in tmp_path.iterdir()] == ["bands.csv"]  # no temporary left
     head, data = _rows(out.read_text())
     assert data.shape == (201, 4)
+
+
+def _nan_bands(params, k):
+    return bulk.BandPoint(k=k, e_minus=np.full_like(k, np.nan), e_plus=np.full_like(k, np.nan))
+
+
+def _nan_zak(params, band="plus", nk=2048):
+    return bulk.ZakResult(value=float("nan"), classification="topological", k_points=nk)
+
+
+def _nan_compare(params, tol_zero=None):
+    e = np.array([np.nan, 0.0])
+    return finite.SpectrumComparison(e_box=e, e_chain=e, ks_distance=0.0,
+                                      zero_modes_box=0, zero_modes_chain=0, tol_zero=1e-8)
+
+
+@pytest.mark.parametrize("argv, module, name, fake", [
+    (("bands", *BULK), bulk, "energy_bands", _nan_bands),
+    (("zak", *BULK), bulk, "zak_wilson", _nan_zak),
+    (("compare-ssh", *BOX), finite, "compare_ssh", _nan_compare),
+], ids=["table", "envelope", "table-and-json"])
+def test_refused_output_keeps_existing_out_file(tmp_path, monkeypatch, capsys, argv, module, name, fake):
+    out = tmp_path / "old.out"
+    out.write_bytes(b"earlier result\n")
+    monkeypatch.setattr(module, name, fake)
+    assert cli.main([*argv, "--out", str(out)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert out.read_bytes() == b"earlier result\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["old.out"]  # no temporary left
+
+
+def test_replacing_keeps_permissions_and_writes_devices(tmp_path):
+    out = tmp_path / "levels.csv"
+    out.write_text("old\n")
+    out.chmod(0o640)
+    with cli._replacing(str(out)) as fh:
+        fh.write("new\n")
+    assert out.read_text() == "new\n"
+    assert out.stat().st_mode & 0o777 == 0o640
+    # a symlink is written through, not replaced by a file
+    link = tmp_path / "link.csv"
+    link.symlink_to(out)
+    with cli._replacing(str(link)) as fh:
+        fh.write("through\n")
+    assert link.is_symlink() and out.read_text() == "through\n"
+    # a target that is not a regular file is opened directly
+    with cli._replacing(os.devnull) as fh:
+        fh.write("discarded\n")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["levels.csv", "link.csv"]
+
+
+@pytest.mark.parametrize("command", [["finite"], ["compare-ssh"], ["edge", "--n-a", "1", "--n-b", "1"]],
+                         ids=["finite", "compare-ssh", "edge"])
+def test_zero_couplings_refused(command, capsys):
+    box = ["--v0", "0", "--w0", "0", "--a", "0.2", "--L", "1", "--dx", "0.1"]
+    assert cli.main(command[:1] + box + command[1:]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "v0 = w0 = 0" in err
+
+
+def test_bands_beyond_squaring_range(capsys):
+    assert cli.main(["bands", "--v", "1e200", "--w", "1.5e200", "--a", "1", "--samples", "5"]) == 0
+    _, data = _rows(capsys.readouterr().out)
+    ref = np.abs(1e200 + 1.5e200 * np.exp(-1j * data[:, 0]))
+    assert np.allclose(data[:, 2], ref, rtol=1e-15, atol=0)
+
+
+def _files(directory):
+    return {f.name: f.read_bytes() for f in sorted(directory.iterdir())}
+
+
+def test_in_process_calls_match_fresh_interpreters(tmp_path, capsys):
+    # main() reuses one parser per process: options given in one call must
+    # not carry over to the next
+    calls = [
+        ("finite", *BOX, "--tol-zero", "0.01", "--vectors", "--out", "{dir}/levels.csv"),
+        ("finite", *BOX),
+        ("bands", *BULK, "--kmin", "0", "--kmax", "1", "--samples", "7"),
+        ("bands", *BULK, "--samples", "7"),
+        ("zak", *BULK),
+    ]
+    parser = cli._cached_parser()
+    for i, argv in enumerate(calls):
+        fresh_dir, here_dir = tmp_path / f"fresh{i}", tmp_path / f"here{i}"
+        fresh_dir.mkdir()
+        here_dir.mkdir()
+        fresh = run(*(a.format(dir=fresh_dir) for a in argv))
+        assert cli.main([a.format(dir=here_dir) for a in argv]) == fresh.returncode == 0
+        assert capsys.readouterr().out == fresh.stdout
+        assert _files(here_dir) == _files(fresh_dir)
+    assert cli._cached_parser() is parser
+    assert len(_files(tmp_path / "here0")) > 1  # the levels and the midgap states
 
 
 _LIST_SCIPY = "print('SCIPY', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonlocal_ssh.errors import ValidationError
 from nonlocal_ssh.finite import (
@@ -117,6 +119,28 @@ def test_chain_route_matches_oracles(signs, phase, geometry):
     ev = spectrum(op).eigenvalues
     assert np.max(np.abs(ev - np.linalg.eigvalsh(op.to_dense()))) < 1e-10
     assert np.max(np.abs(ev - decoupled_spectrum(op))) < 1e-10
+    assert np.array_equal(ev, -ev[::-1])
+
+
+@st.composite
+def _random_boxes(draw):
+    # a = m*dx on a grid of 3..41 points, any admissible m, either phase
+    steps = draw(st.integers(2, 40))
+    m = draw(st.integers(1, steps - 1))
+    weak = draw(st.floats(0.05, 1.0))
+    strong = draw(st.floats(0.2, 5.0))
+    v0, w0 = (weak * strong, strong) if draw(st.booleans()) else (strong, weak * strong)
+    sign_v, sign_w = draw(st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+    return FiniteParams(v0=sign_v * v0, w0=sign_w * w0, a=m * 0.1, L=steps * 0.1, dx=0.1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_random_boxes())
+def test_chain_route_matches_brute_force_on_random_boxes(params):
+    op = build_finite(params)
+    ev = spectrum(op).eigenvalues
+    brute = np.linalg.eigvalsh(op.to_dense())
+    assert np.max(np.abs(ev - brute)) <= 1e-12 * op.norm_bound()
     assert np.array_equal(ev, -ev[::-1])
 
 
@@ -266,6 +290,43 @@ def test_residual_bound_measured_on_operator_c_block():
     op = _extra_hop_operator()
     assert spectrum(op).residual_bound > 0.1
     assert spectrum(op, method="dense").residual_bound < 1e-12
+
+
+def _loop_residual_bound(op, res):
+    # the same sample as spectrum(), measured one eigenpair at a time
+    p, dim = op.n_points, op.dimension
+    worst = 0.0
+    for j in sorted(set(np.linspace(0, dim - 1, 17, dtype=int)) | {p - 1, p}):
+        state, lam = res.vectors[j], res.eigenvalues[j]
+        ha = op.c_block @ state.psi_b - lam * state.psi_a
+        hb = op.c_block.T @ state.psi_a - lam * state.psi_b
+        worst = max(worst, float(np.sqrt(np.sum(np.abs(ha) ** 2) + np.sum(np.abs(hb) ** 2))))
+    return worst
+
+
+@pytest.mark.parametrize("method", ["svd", "dense"])
+@pytest.mark.parametrize("geometry", [
+    dict(a=0.1, L=2.0, dx=0.1),  # m = 1
+    dict(a=2.0 * (1 - 1e-10), L=2.0, dx=0.1),  # m = P - 1, the largest hop L > a admits
+    dict(a=0.3, L=2.1, dx=0.1),  # P = 22, m = 3: uneven cell counts
+], ids=["m=1", "m=P-1", "uneven"])
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)],
+                         ids=["++", "+-", "-+", "--"])
+def test_residual_bound_matches_per_pair_loop(signs, geometry, method):
+    op = build_finite(FiniteParams(v0=signs[0] * 0.6, w0=signs[1] * 1.3, **geometry))
+    if geometry["a"] > 1.0:
+        assert op.hop_steps == op.n_points - 1
+    res = spectrum(op, want_vectors=True, method=method)
+    want = _loop_residual_bound(op, res)
+    assert 0.0 < want < 1e-12
+    assert res.residual_bound == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("method", ["svd", "dense"])
+def test_residual_bound_matches_per_pair_loop_off_structure(method):
+    op = _extra_hop_operator()
+    res = spectrum(op, want_vectors=True, method=method)
+    assert res.residual_bound == pytest.approx(_loop_residual_bound(op, res), rel=1e-14, abs=0.0)
 
 
 def test_zero_mode_window_is_strict():

@@ -68,6 +68,10 @@ def test_finite_validation():
     # box must hold at least one hop
     with pytest.raises(ValidationError):
         validate_finite(FiniteParams(v0=0.5, w0=1.0, a=2.0, L=1.0, dx=0.5))
+    # the zero Hamiltonian: every level is 0, no midgap count means anything
+    with pytest.raises(DegenerateCouplings):
+        validate_finite(FiniteParams(v0=0.0, w0=0.0, a=0.2, L=1.0, dx=0.1))
+    validate_finite(FiniteParams(v0=0.0, w0=1.0, a=0.2, L=1.0, dx=0.1))
 
 
 def test_grid_is_symmetric():
