@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedOrder,
     ValidationError,
 )
-from .model import BlochState, BulkParams, band_sign, validate_bulk, wrap_angle
+from .model import BlochState, BulkParams, _require_finite, band_sign, validate_bulk, wrap_angle
 
 ORDERS = (0, 1, 2)
 
@@ -135,9 +135,9 @@ def berry_integral(
     Both bands give the same value (the +-1 in u_B cancels in <u|du>); the
     band argument is validated and otherwise unused.
 
-    cutoff_k defaults to 1e4/a and must be at least 100/a; for order 2 it
-    must also clear the axis-crossing scale sqrt(2(v+w)/w)/a, otherwise
-    CutoffTooSmall is raised.
+    cutoff_k defaults to 1e4/a; a NaN or infinite one is a ValidationError.
+    It must be at least 100/a, and for order 2 it must also clear the
+    axis-crossing scale sqrt(2(v+w)/w)/a, otherwise CutoffTooSmall is raised.
     """
     validate_bulk(params)
     band_sign(band)
@@ -146,6 +146,7 @@ def berry_integral(
     v, w, a = params.v, params.w, params.a
     if cutoff_k is None:
         cutoff_k = BERRY_DEFAULT_CUTOFF / a
+    _require_finite(cutoff_k=cutoff_k)
     if cutoff_k * a < BERRY_MIN_CUTOFF:
         raise CutoffTooSmall(f"cutoff_k must be >= {BERRY_MIN_CUTOFF}/a")
     if order == 2 and w != 0.0:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import math
 import os
 import sys
 import time
@@ -28,15 +29,8 @@ import numpy as np
 
 from . import approx, bulk, edge, finite
 from .errors import ModelError, NumericalError, ValidationError
-from .model import BulkParams, FiniteParams
-from .serialize import (
-    ResultEnvelope,
-    Table,
-    complex_fields,
-    emit_csv,
-    emit_json,
-    load_config,
-)
+from .model import BulkParams, FiniteParams, validate_bulk, validate_finite
+from .serialize import Table, complex_fields, emit_csv, emit_json, envelope, load_config
 
 BULK_KEYS = ("v", "w", "a")
 BOX_KEYS = ("v0", "w0", "a", "L", "dx")
@@ -120,10 +114,20 @@ def _write_table_and_json(table: Table, doc: dict, out: str | None) -> None:
         emit_json(doc, sys.stderr)
 
 
-def _cmd_bands(args) -> int:
-    params = _bulk_params(args)
+def _k_range(args, params: BulkParams) -> tuple[float, float]:
+    """--kmin/--kmax, which must be finite, or one zone [-pi/a, pi/a]."""
+    for flag, val in (("--kmin", args.kmin), ("--kmax", args.kmax)):
+        if val is not None and not math.isfinite(val):
+            raise ValidationError(f"{flag} must be finite, got {val}")
+    validate_bulk(params)  # a > 0 before the default zone divides by it
     kmin = args.kmin if args.kmin is not None else -np.pi / params.a
     kmax = args.kmax if args.kmax is not None else np.pi / params.a
+    return kmin, kmax
+
+
+def _cmd_bands(args) -> int:
+    params = _bulk_params(args)
+    kmin, kmax = _k_range(args, params)
     if args.samples < 2:
         raise ValidationError("--samples must be >= 2")
     k = np.linspace(kmin, kmax, args.samples)
@@ -145,17 +149,17 @@ def _cmd_zak(args) -> int:
         res = bulk.zak_wilson(params, band=args.band, nk=args.nk)
     inputs = {"command": "zak", "v": params.v, "w": params.w, "a": params.a,
               "band": args.band, "nk": args.nk, "method": args.method}
-    envelope = ResultEnvelope(inputs=inputs, result={
+    _emit_envelope(envelope(inputs, {
         "gamma": res.value,
         "classification": res.classification,
         "k_points": res.k_points,
-    })
-    _emit_envelope(envelope, args.out)
+    }), args.out)
     return 0
 
 
 def _cmd_approx(args) -> int:
     params = _bulk_params(args)
+    kmin, kmax = _k_range(args, params)
     if args.samples < 2:
         raise ValidationError("--samples must be >= 2")
     inputs = {"command": "approx", "v": params.v, "w": params.w, "a": params.a,
@@ -165,8 +169,6 @@ def _cmd_approx(args) -> int:
         table = Table(columns=cols, rows=rows)
     else:
         order = int(args.order)
-        kmin = args.kmin if args.kmin is not None else -np.pi / params.a
-        kmax = args.kmax if args.kmax is not None else np.pi / params.a
         inputs["kmin"], inputs["kmax"] = float(kmin), float(kmax)
         k = np.linspace(kmin, kmax, args.samples)
         bp = approx.approx_bands(params, order, k)
@@ -183,12 +185,11 @@ def _cmd_berry(args) -> int:
     inputs = {"command": "berry", "v": params.v, "w": params.w, "a": params.a,
               "order": args.order, "band": args.band,
               "cutoff_k": res.cutoff_k, "nk": args.nk}
-    envelope = ResultEnvelope(inputs=inputs, result={
+    _emit_envelope(envelope(inputs, {
         "value": res.value,
         "cutoff_k": res.cutoff_k,
         "error": res.quadrature_error,
-    })
-    _emit_envelope(envelope, args.out)
+    }), args.out)
     return 0
 
 
@@ -199,29 +200,31 @@ def _box_inputs(command: str, params: FiniteParams, **extra) -> dict:
     return doc
 
 
-def _check_tol(tol: float) -> float:
-    if not tol > 0.0:
-        raise ValidationError(f"--tol-zero must be positive, got {tol}")
-    return tol
+def _zero_window(tol: float, params: FiniteParams) -> float:
+    """The zero-mode window tol*|w0|; refused unless positive and finite."""
+    tol_abs = tol * abs(params.w0)
+    if not 0.0 < tol_abs < math.inf:
+        raise ValidationError(
+            f"--tol-zero {tol} gives the zero-mode window tol*|w0| = {tol_abs}; "
+            "it must be positive and finite"
+        )
+    return tol_abs
 
 
 def _cmd_finite(args) -> int:
     params = _box_params(args)
-    if args.compare_ssh:
-        return _run_compare(args, params)
     if args.vectors and not args.out:
         raise ValidationError("--vectors needs --out to place per-state files")
-    tol_abs = _check_tol(args.tol_zero) * abs(params.w0)
-    op = finite.build_finite(params)
-    res = finite.spectrum(op, want_vectors=args.vectors)
+    op = finite.build_finite(params)  # validates, so v0 = w0 = 0 is reported as such
+    tol_abs = _zero_window(args.tol_zero, params)
+    res = finite.spectrum(op)
     n_zero = finite.zero_mode_count(res.eigenvalues, tol_abs)
     inputs = _box_inputs("finite", params, tol_zero=args.tol_zero, vectors=bool(args.vectors))
     table = Table(columns=["index", "eigenvalue"],
                   rows=np.column_stack([np.arange(res.eigenvalues.size), res.eigenvalues]))
     _write_table(table, args.out, inputs)
     emit_json({"zero_modes": n_zero, "levels": int(res.eigenvalues.size),
-               "tol_zero_abs": tol_abs, "residual_bound": res.residual_bound,
-               "method": res.method}, sys.stderr)
+               "tol_zero_abs": tol_abs, "residual_bound": res.residual_bound}, sys.stderr)
     if args.vectors:
         base = Path(args.out)
         # res.vectors builds a state only when indexed: only midgap ones here
@@ -237,26 +240,23 @@ def _cmd_finite(args) -> int:
     return 0
 
 
-def _run_compare(args, params: FiniteParams) -> int:
-    tol_abs = _check_tol(args.tol_zero) * abs(params.w0)
+def _cmd_compare(args) -> int:
+    params = validate_finite(_box_params(args))  # v0 = w0 = 0 is reported as such
+    tol_abs = _zero_window(args.tol_zero, params)
     cmp = finite.compare_ssh(params, tol_zero=tol_abs)
     idx = np.arange(cmp.e_box.size)
     table = Table(columns=["index", "E_box", "E_ssh"],
                   rows=np.column_stack([idx, cmp.e_box, cmp.e_chain]))
     inputs = _box_inputs("compare-ssh", params, tol_zero=args.tol_zero)
-    doc = ResultEnvelope(inputs=inputs, result={
+    doc = envelope(inputs, {
         "ks_distance": cmp.ks_distance,
         "zero_modes_box": cmp.zero_modes_box,
         "zero_modes_ssh": cmp.zero_modes_chain,
         "levels": int(cmp.e_box.size),
         "tol_zero_abs": cmp.tol_zero,
-    }).payload()
+    })
     _write_table_and_json(table, doc, args.out)
     return 0
-
-
-def _cmd_compare(args) -> int:
-    return _run_compare(args, _box_params(args))
 
 
 def _cmd_edge(args) -> int:
@@ -278,7 +278,7 @@ def _cmd_edge(args) -> int:
     )
     inputs = _box_inputs("edge", params, n_a=args.n_a, m_a=args.m_a,
                          n_b=args.n_b, m_b=args.m_b)
-    doc = ResultEnvelope(inputs=inputs, result={
+    doc = envelope(inputs, {
         "q_a": complex_fields(mode_a.q),
         "q_b": complex_fields(mode_b.q),
         "residual_a": res_a,
@@ -286,17 +286,17 @@ def _cmd_edge(args) -> int:
         "residual": max(res_a, res_b),
         "fitted_slope_a": fit_a.slope,
         "fitted_slope_b": fit_b.slope,
-    }).payload()
+    })
     _write_table_and_json(table, doc, args.out)
     return 0
 
 
-def _emit_envelope(envelope: ResultEnvelope, out: str | None) -> None:
+def _emit_envelope(doc: dict, out: str | None) -> None:
     if out:
         with _replacing(out) as fh:
-            emit_json(envelope.payload(), fh)
+            emit_json(doc, fh)
     else:
-        emit_json(envelope.payload(), sys.stdout)
+        emit_json(doc, sys.stdout)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="zero-mode window as a fraction of |w0|")
     p.add_argument("--vectors", action="store_true",
                    help="also write per-midgap-state CSV files (needs --out)")
-    p.add_argument("--compare-ssh", action="store_true",
-                   help="emit the box vs. single-chain comparison instead")
     p.set_defaults(func=_cmd_finite)
 
     p = sub.add_parser("compare-ssh", help="box spectrum vs. a single dimerized chain")

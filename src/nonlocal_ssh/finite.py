@@ -12,11 +12,12 @@ permutation-similar to m independent open dimerized (SSH) chains whose cell
 counts are ceil((P - r)/m). All chains share (v0, w0) and there are at most
 two distinct cell counts.
 
-The default eigensolver uses that decomposition: one SVD per distinct cell
-count of C restricted to a residue class (a lower-bidiagonal block), whose
+The eigensolver uses that decomposition: one SVD per distinct cell count
+of C restricted to a residue class (a lower-bidiagonal block), whose
 singular values, tiled by multiplicity, give the spectrum as exact +-sigma
-pairs (chiral symmetry built in). Full dense diagonalization of H is the
-cross-check, and dense per-chain diagonalization is the oracle.
+pairs (chiral symmetry built in). Dense per-chain diagonalization
+(decoupled_spectrum) is the oracle; to_dense() gives H itself for
+brute-force checks.
 
 C itself is kept as its two diagonals (HopBlock) and applied with numpy
 slices; dense copies of C or H are made only on request, below a fixed
@@ -166,15 +167,14 @@ def build_finite(params: FiniteParams) -> FiniteOperator:
 
 @dataclass
 class SpectrumResult:
-    """Sorted eigenvalues, optional eigenvectors, and solver diagnostics.
+    """Sorted eigenvalues, the eigenstates, and the measured residual bound.
 
-    vectors, when requested, is a read-only sequence of 2P states that
-    builds each SpinorGrid only when it is indexed.
+    vectors is a read-only sequence of 2P states that builds each
+    SpinorGrid only when it is indexed.
     """
 
     eigenvalues: np.ndarray
-    vectors: Sequence[SpinorGrid] | None
-    method: str
+    vectors: Sequence[SpinorGrid]
     residual_bound: float
 
 
@@ -232,46 +232,35 @@ def _chain_eigensystem(op: FiniteOperator):
     return evals, pair
 
 
-def spectrum(op: FiniteOperator, want_vectors: bool = False, method: str = "svd") -> SpectrumResult:
-    """All 2P eigenvalues in ascending order.
+def _sampled_residual(op: FiniteOperator, evals: np.ndarray, pair) -> float:
+    """Largest ||H psi - E psi|| over 19 levels: 17 evenly spaced, P-1 and P.
 
-    method="svd" (default) solves the box chain by chain: one SVD of the
-    lower-bidiagonal block per distinct cell count, singular values tiled
-    by multiplicity, which enforces the +-E pairing exactly. method="dense"
-    diagonalizes the full symmetric matrix as a cross-check that does not
-    use the decomposition. residual_bound is the largest measured
-    ||H psi - E psi||, with H built from the operator's own c_block, over a
-    deterministic sample of eigenpairs.
+    pair(j) gives level j's (psi_a, psi_b); the sampled pairs become the
+    columns of two P x 19 blocks, so C and C^T are applied once each.
     """
-    if method not in ("svd", "dense"):
-        raise ValidationError(f"method must be 'svd' or 'dense', got {method!r}")
-    p = op.n_points
-    dim = op.dimension
-    if method == "svd":
-        evals, pair = _chain_eigensystem(op)
-    else:
-        evals, vecs = np.linalg.eigh(op.to_dense())
-
-        def pair(j):
-            return vecs[:p, j], vecs[p:, j]
-
-    # the sampled pairs as the columns of two P x k blocks, so C and C^T
-    # are applied once each
+    p, dim = op.n_points, op.dimension
     sample = sorted(set(np.linspace(0, dim - 1, 17, dtype=int)) | {p - 1, p})
     psi_a, psi_b = (np.stack(cols, axis=1) for cols in zip(*map(pair, sample)))
     lam = evals[sample]
     defect_a = np.abs(op.c_block @ psi_b - lam * psi_a) ** 2
     defect_b = np.abs(op.c_block.T @ psi_a - lam * psi_b) ** 2
-    residual = float(np.sqrt(np.max(defect_a.sum(axis=0) + defect_b.sum(axis=0))))
+    return float(np.sqrt(np.max(defect_a.sum(axis=0) + defect_b.sum(axis=0))))
 
-    vectors = None
-    if want_vectors:
-        vectors = _LazyStates(dim, lambda j: SpinorGrid(op.grid, *pair(j)))
+
+def spectrum(op: FiniteOperator) -> SpectrumResult:
+    """All 2P eigenvalues in ascending order, with lazily built eigenstates.
+
+    The box is solved chain by chain: one SVD of the lower-bidiagonal block
+    per distinct cell count, singular values tiled by multiplicity, which
+    enforces the +-E pairing exactly. residual_bound is measured with H
+    built from the operator's own c_block, so it exposes an operator whose
+    C is not the chain structure its parameters imply.
+    """
+    evals, pair = _chain_eigensystem(op)
     return SpectrumResult(
-        eigenvalues=np.asarray(evals, dtype=float),
-        vectors=vectors,
-        method=method,
-        residual_bound=residual,
+        eigenvalues=evals,
+        vectors=_LazyStates(op.dimension, lambda j: SpinorGrid(op.grid, *pair(j))),
+        residual_bound=_sampled_residual(op, evals, pair),
     )
 
 

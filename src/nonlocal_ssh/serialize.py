@@ -10,7 +10,7 @@ a repeated run produces byte-identical output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Any
 
 import numpy as np
@@ -104,24 +104,13 @@ def complex_fields(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
-@dataclass
-class ResultEnvelope:
-    """What a JSON-producing run writes: schema version, input echo, payload.
+def envelope(inputs: dict, result: dict) -> dict:
+    """What a JSON-producing run writes: schema version, input echo, result.
 
-    Timing never enters the payload (reruns must be byte-identical); the
-    CLI reports elapsed time on stderr instead.
+    Timing never enters it (reruns must be byte-identical); the CLI reports
+    elapsed time on stderr instead.
     """
-
-    inputs: dict
-    result: dict
-    schema: int = SCHEMA_VERSION
-    extra: dict = field(default_factory=dict)
-
-    def payload(self) -> dict:
-        doc = {"schema": self.schema, "inputs": self.inputs}
-        doc.update(self.extra)
-        doc["result"] = self.result
-        return doc
+    return {"schema": SCHEMA_VERSION, "inputs": inputs, "result": result}
 
 
 def load_config(path: str) -> dict[str, float]:

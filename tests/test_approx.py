@@ -2,6 +2,8 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from nonlocal_ssh.approx import (
@@ -152,6 +154,29 @@ def test_berry_second_order_encircling_rule():
         assert got == pytest.approx(want, abs=1e-6), (v, w)
 
 
+@st.composite
+def _berry_params(draw):
+    # s = (v + w)/w with 0.25 <= |s| <= 4, either sign, so v + w < 0 occurs
+    # and the default k sampling tracks the winding (|v + w| >= 0.25|w|)
+    w = draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(0.1, 10.0))
+    s = draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(0.25, 4.0))
+    return BulkParams(v=w * (s - 1.0), w=w, a=draw(st.floats(0.1, 5.0)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_berry_params(), st.sampled_from(["plus", "minus"]))
+def test_berry_first_order_sign_rule(p, band):
+    want = -0.5 * np.pi * np.sign(p.a * p.w * (p.v + p.w))
+    assert berry_integral(p, 1, band=band).value == pytest.approx(want, abs=1e-6)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_berry_params(), st.sampled_from(["plus", "minus"]))
+def test_berry_second_order_encircling_property(p, band):
+    want = -np.pi if p.w * (p.v + p.w) > 0 else 0.0
+    assert berry_integral(p, 2, band=band).value == pytest.approx(want, abs=1e-6)
+
+
 def test_berry_gauge_dependence_of_open_line_integral():
     # discrete line integral of the connection over [-K, K]; a k-dependent
     # phase twist alpha(k) shifts it by -(alpha(K) - alpha(-K)), so unlike
@@ -182,6 +207,10 @@ def test_berry_validation():
         berry_integral(P, 3)
     with pytest.raises(CutoffTooSmall):
         berry_integral(P, 1, cutoff_k=10.0)
+    # NaN passes every < comparison, so finiteness is checked on its own
+    for order, cutoff_k in ((1, np.nan), (2, np.nan), (1, np.inf), (2, -np.inf)):
+        with pytest.raises(ValidationError, match="cutoff_k must be finite"):
+            berry_integral(P, order, cutoff_k=cutoff_k)
     with pytest.raises(ValidationError):
         berry_integral(P, 1, nk=999)
     with pytest.raises(GapClosure):

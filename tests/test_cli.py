@@ -1,7 +1,10 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,8 +95,8 @@ def test_finite_spectrum_stdout():
     assert data.shape == (82, 2)
     assert np.all(np.diff(data[:, 1]) >= -1e-12)
     summary = json.loads(r.stderr.splitlines()[1])
+    assert list(summary) == ["zero_modes", "levels", "tol_zero_abs", "residual_bound"]
     assert summary["levels"] == 82
-    assert summary["method"] == "svd"
 
 
 def test_finite_vectors_need_out():
@@ -121,7 +124,7 @@ def test_finite_vectors_rerun_bytes(tmp_path):
         out.parent.mkdir()
         r = run("finite", *BOX, "--tol-zero", "0.01", "--vectors", "--out", str(out))
         assert r.returncode == 0
-        assert json.loads(r.stderr.splitlines()[1])["method"] == "svd"
+        assert json.loads(r.stderr.splitlines()[1])["levels"] == 82
     _, levels = _rows(outs[0].read_text())
     midgap = [int(j) for j, ev in levels if abs(ev) < 0.01]
     names = [f"levels-state-{j:04d}.csv" for j in midgap]
@@ -147,11 +150,11 @@ def test_compare_ssh_streams(tmp_path):
     assert out.read_text().startswith("index,E_box,E_ssh\n")
 
 
-def test_finite_compare_alias():
-    direct = run("compare-ssh", *BOX)
-    alias = run("finite", *BOX, "--compare-ssh")
-    assert alias.returncode == 0
-    assert alias.stdout == direct.stdout
+def test_finite_compare_ssh_flag_removed(capsys):
+    # the comparison has one route, the compare-ssh subcommand
+    assert cli.main(["finite", *BOX, "--compare-ssh"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --compare-ssh" in err
 
 
 def test_edge_outputs():
@@ -218,6 +221,40 @@ def test_io_failure_exit_code(tmp_path):
 
 def test_negative_tolerance_rejected():
     assert run("finite", *BOX, "--tol-zero", "-1e-8").returncode == 2
+
+
+@pytest.mark.parametrize("command", ["finite", "compare-ssh"])
+@pytest.mark.parametrize("tol, w0", [("inf", "1"), ("1e308", "10"), ("nan", "1"), ("1e-8", "0")],
+                         ids=["inf", "overflow", "nan", "w0=0"])
+def test_zero_mode_window_refused(tmp_path, capsys, command, tol, w0):
+    # the window tol*|w0| must be positive and finite; refused before any output
+    argv = [command, "--v0", "0.5", "--w0", w0, "--a", "0.2", "--L", "1", "--dx", "0.1",
+            "--tol-zero", tol]
+    out = tmp_path / "old.csv"
+    out.write_bytes(b"earlier result\n")
+    for extra in ([], ["--out", str(out)]):
+        assert cli.main(argv + extra) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and "zero-mode window" in err
+    assert out.read_bytes() == b"earlier result\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["old.csv"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bands", *BULK, "--kmax", "inf"], "--kmax must be finite"),
+    (["bands", *BULK, "--kmin", "nan"], "--kmin must be finite"),
+    (["approx", *BULK, "--order", "1", "--kmin=-inf"], "--kmin must be finite"),
+    (["approx", *BULK, "--order", "2", "--kmax", "nan"], "--kmax must be finite"),
+    (["approx", *BULK, "--kmax", "inf"], "--kmax must be finite"),
+    (["berry", *BULK, "--order", "1", "--cutoff-k", "nan"], "cutoff_k must be finite"),
+    (["berry", *BULK, "--order", "2", "--cutoff-k", "inf"], "cutoff_k must be finite"),
+    (["bands", "--v", "0.5", "--w", "1", "--a", "0"], "a must be positive"),
+], ids=["bands-kmax", "bands-kmin", "approx-kmin", "approx-kmax", "approx-all-kmax",
+        "berry-nan", "berry-inf", "bands-a=0"])
+def test_bulk_ranges_refused(capsys, argv, message):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
 
 
 def test_edge_camel_case_flag_aliases():
@@ -362,3 +399,23 @@ def test_cli_zak_loads_no_scipy():
         + _LIST_SCIPY
     )
     assert _scipy_modules_in_child(code) == "[]"
+
+
+def _readme_cli_examples():
+    # the README's shell blocks that call the CLI, continuation lines joined
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("nonlocal-ssh "):
+                commands.append(shlex.split(line))
+    return commands
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    commands = _readme_cli_examples()
+    assert {c[1] for c in commands} >= {"bands", "zak", "finite", "compare-ssh", "edge"}
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, argv
+        capsys.readouterr()

@@ -196,7 +196,7 @@ def test_analytic_modes_live_in_numerical_kernel():
     # project each analytic mode onto the span of the numerically obtained
     # midgap eigenvectors; the out-of-span remainder must be tiny
     op = build_finite(BOX)
-    res = spectrum(op, want_vectors=True)
+    res = spectrum(op)
     tol = 1e-8 * abs(BOX.w0)
     idx = np.where(np.abs(res.eigenvalues) < tol)[0]
     assert idx.size == 40

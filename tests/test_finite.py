@@ -12,6 +12,7 @@ from nonlocal_ssh.finite import (
     FiniteOperator,
     HopBlock,
     SshChain,
+    _sampled_residual,
     build_finite,
     chain_decomposition,
     compare_ssh,
@@ -65,15 +66,6 @@ def test_chain_matrix_layout():
         ssh_chain_matrix(SshChain(n_cells=0, v=1.0, w=1.0))
 
 
-def test_svd_and_dense_agree():
-    op = build_finite(SMALL)
-    e_svd = spectrum(op, method="svd").eigenvalues
-    e_dense = spectrum(op, method="dense").eigenvalues
-    assert np.max(np.abs(e_svd - e_dense)) < 1e-12
-    with pytest.raises(ValidationError):
-        spectrum(op, method="lanczos")
-
-
 def test_negation_closure_is_exact():
     ev = spectrum(build_finite(SMALL)).eigenvalues
     assert np.array_equal(ev, -ev[::-1])
@@ -96,7 +88,7 @@ def test_apply_matches_recursion():
 
 def test_spectrum_vectors_are_eigenvectors():
     op = build_finite(SMALL)
-    res = spectrum(op, want_vectors=True)
+    res = spectrum(op)
     h = op.to_dense()
     assert len(res.vectors) == op.dimension
     for j in range(op.dimension):
@@ -199,7 +191,7 @@ def test_dense_routes_refuse_large_box():
     op = build_finite(FiniteParams(v0=0.5, w0=1.0, a=0.2, L=400.0, dx=0.01))
     assert op.n_points == 40001
     assert op.n_points**2 > DENSE_MAX_ELEMENTS
-    routes = (op.to_dense, lambda: spectrum(op, method="dense"), lambda: symmetry_residuals(op))
+    routes = (op.to_dense, lambda: symmetry_residuals(op))
     tracemalloc.start()
     try:
         for route in routes:
@@ -284,22 +276,43 @@ def test_symmetry_detects_broken_parity():
     assert res.parity > 0.1
 
 
+def _dense_eigensystem(op):
+    # eigh of the whole H: eigenpairs that spread over every residue class
+    evals, vecs = np.linalg.eigh(op.to_dense())
+    p = op.n_points
+    return evals, lambda j: (vecs[:p, j], vecs[p:, j])
+
+
+def _eigensystem(op, method):
+    # eigenvalues, pair(j) -> (psi_a, psi_b) and the sampled residual bound,
+    # from spectrum()'s chain route ("svd") or from eigh of H ("dense")
+    if method == "dense":
+        evals, pair = _dense_eigensystem(op)
+        return evals, pair, _sampled_residual(op, evals, pair)
+    res = spectrum(op)
+
+    def pair(j):
+        return res.vectors[j].psi_a, res.vectors[j].psi_b
+
+    return res.eigenvalues, pair, res.residual_bound
+
+
 def test_residual_bound_measured_on_operator_c_block():
     # the chain route solves the blocks implied by the parameters; the
     # residual must expose that they are not this operator's C
     op = _extra_hop_operator()
     assert spectrum(op).residual_bound > 0.1
-    assert spectrum(op, method="dense").residual_bound < 1e-12
+    assert _sampled_residual(op, *_dense_eigensystem(op)) < 1e-12
 
 
-def _loop_residual_bound(op, res):
+def _loop_residual_bound(op, evals, pair):
     # the same sample as spectrum(), measured one eigenpair at a time
     p, dim = op.n_points, op.dimension
     worst = 0.0
     for j in sorted(set(np.linspace(0, dim - 1, 17, dtype=int)) | {p - 1, p}):
-        state, lam = res.vectors[j], res.eigenvalues[j]
-        ha = op.c_block @ state.psi_b - lam * state.psi_a
-        hb = op.c_block.T @ state.psi_a - lam * state.psi_b
+        (psi_a, psi_b), lam = pair(j), evals[j]
+        ha = op.c_block @ psi_b - lam * psi_a
+        hb = op.c_block.T @ psi_a - lam * psi_b
         worst = max(worst, float(np.sqrt(np.sum(np.abs(ha) ** 2) + np.sum(np.abs(hb) ** 2))))
     return worst
 
@@ -316,17 +329,17 @@ def test_residual_bound_matches_per_pair_loop(signs, geometry, method):
     op = build_finite(FiniteParams(v0=signs[0] * 0.6, w0=signs[1] * 1.3, **geometry))
     if geometry["a"] > 1.0:
         assert op.hop_steps == op.n_points - 1
-    res = spectrum(op, want_vectors=True, method=method)
-    want = _loop_residual_bound(op, res)
+    evals, pair, bound = _eigensystem(op, method)
+    want = _loop_residual_bound(op, evals, pair)
     assert 0.0 < want < 1e-12
-    assert res.residual_bound == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert bound == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("method", ["svd", "dense"])
 def test_residual_bound_matches_per_pair_loop_off_structure(method):
     op = _extra_hop_operator()
-    res = spectrum(op, want_vectors=True, method=method)
-    assert res.residual_bound == pytest.approx(_loop_residual_bound(op, res), rel=1e-14, abs=0.0)
+    evals, pair, bound = _eigensystem(op, method)
+    assert bound == pytest.approx(_loop_residual_bound(op, evals, pair), rel=1e-14, abs=0.0)
 
 
 def test_zero_mode_window_is_strict():

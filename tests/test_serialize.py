@@ -6,11 +6,11 @@ import pytest
 from nonlocal_ssh.errors import SerializationError, ValidationError
 from nonlocal_ssh.serialize import (
     _CSV_CHUNK_VALUES,
-    ResultEnvelope,
     Table,
     complex_fields,
     emit_csv,
     emit_json,
+    envelope,
     format_float,
     load_config,
 )
@@ -130,11 +130,12 @@ def test_complex_fields():
 
 
 def test_envelope_payload_layout():
-    env = ResultEnvelope(inputs={"command": "zak"}, result={"gamma": 3.14},
-                         extra={"note": "x"})
-    doc = env.payload()
-    assert list(doc.keys()) == ["schema", "inputs", "note", "result"]
-    assert doc["schema"] == 1
+    doc = envelope({"command": "zak"}, {"gamma": 3.14})
+    assert doc == {"schema": 1, "inputs": {"command": "zak"}, "result": {"gamma": 3.14}}
+    assert list(doc.keys()) == ["schema", "inputs", "result"]
+    buf = io.StringIO()
+    emit_json(doc, buf)
+    assert buf.getvalue() == '{"schema": 1, "inputs": {"command": "zak"}, "result": {"gamma": 3.1400000000000001}}\n'
 
 
 def test_load_config(tmp_path):
