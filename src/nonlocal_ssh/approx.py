@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bulk import BandPoint, GAP_ABS_TOL, energy_bands
+from .bulk import _K_CHUNK, BandPoint, GAP_ABS_TOL, energy_bands
 from .errors import (
     ConvergenceFailure,
     CutoffTooSmall,
@@ -121,6 +121,29 @@ def _asymptote_angles(params: BulkParams, order: int) -> tuple[float, float]:
     return (0.0, 0.0)
 
 
+def _unwrap_chunk(p: np.ndarray, carry):
+    """One chunk of np.unwrap over a phase array too long to hold at once.
+
+    carry is None for the first chunk, else the previous chunk's last
+    phase and the sum of all corrections so far; returns the unwrapped
+    chunk and the carry for the next one. The steps follow np.unwrap's
+    own, and the running sum is folded into the chunk's first correction,
+    so every sum is formed in the order of one np.unwrap over the whole
+    array and the bits agree.
+    """
+    dd = np.diff(p) if carry is None else np.diff(p, prepend=carry[0])
+    ddmod = np.mod(dd + np.pi, 2.0 * np.pi) - np.pi
+    np.copyto(ddmod, np.pi, where=(ddmod == -np.pi) & (dd > 0))
+    correct = ddmod - dd
+    np.copyto(correct, 0.0, where=np.abs(dd) < np.pi)
+    if carry is not None:
+        correct[0] += carry[1]
+    np.cumsum(correct, out=correct)
+    theta = p.copy()
+    theta[p.size - correct.size:] += correct
+    return theta, (p[-1], correct[-1])
+
+
 def berry_integral(
     params: BulkParams,
     order: int,
@@ -138,6 +161,13 @@ def berry_integral(
     cutoff_k defaults to 1e4/a; a NaN or infinite one is a ValidationError.
     It must be at least 100/a, and for order 2 it must also clear the
     axis-crossing scale sqrt(2(v+w)/w)/a, otherwise CutoffTooSmall is raised.
+
+    The k grid is swept in chunks of _K_CHUNK samples with the unwrap
+    carried across, so memory does not grow with nk and the result has the
+    bits of one pass over the whole grid. The refusals come out as from
+    one pass too: z(k) can come near zero only at the sample nearest
+    k = 0, and when it does, a phase step above pi/2 must start or end on
+    that sample, so the gap closure is found first.
     """
     validate_bulk(params)
     band_sign(band)
@@ -161,25 +191,39 @@ def berry_integral(
         # z(k) = v is constant: no winding
         return BerryIntegralResult(value=0.0, cutoff_k=float(cutoff_k), quadrature_error=0.0)
 
-    ks = np.linspace(-cutoff_k, cutoff_k, nk)
-    z = _b_numerator(params, order, ks)
-    if np.min(np.abs(z)) < GAP_ABS_TOL * (abs(v) + abs(w)):
-        raise GapClosure("truncated bands touch zero inside the cutoff")
-    theta = np.unwrap(np.angle(z))
-    steps = np.abs(np.diff(theta))
-    if steps.max() > 0.5 * np.pi:
-        raise ConvergenceFailure("k sampling too coarse to track the phase winding")
+    # np.linspace(-cutoff_k, cutoff_k, nk) and np.unwrap, one chunk at a time
+    gap_tol = GAP_ABS_TOL * (abs(v) + abs(w))
+    lo, step = -cutoff_k, (cutoff_k - -cutoff_k) / (nk - 1)
+    fine = coarse = None  # unwrap carries of theta and of its even samples
+    max_abs = 0.0
+    for start in range(0, nk, _K_CHUNK):
+        stop = min(start + _K_CHUNK, nk)
+        ks = np.arange(start, stop, dtype=float) * step + lo
+        if stop == nk:
+            ks[-1] = cutoff_k
+        z = _b_numerator(params, order, ks)
+        if np.min(np.abs(z)) < gap_tol:
+            raise GapClosure("truncated bands touch zero inside the cutoff")
+        theta, fine = _unwrap_chunk(np.angle(z), fine)
+        if start:
+            steps = np.diff(theta, prepend=theta_last)
+        else:
+            steps = np.diff(theta)
+            z_first, theta_first = z[0], theta[0]
+        if np.abs(steps).max() > 0.5 * np.pi:
+            raise ConvergenceFailure("k sampling too coarse to track the phase winding")
+        theta_last = theta[-1]
+        max_abs = max(max_abs, np.abs(theta).max())
+        # resolution estimate: the same unwrap on every other sample
+        theta_c, coarse = _unwrap_chunk(theta[::2], coarse)
 
     th_plus, th_minus = _asymptote_angles(params, order)
     tail_plus = wrap_angle(th_plus - float(np.angle(z[-1])))
-    tail_minus = wrap_angle(float(np.angle(z[0])) - th_minus)
-    total = (theta[-1] - theta[0]) + tail_plus + tail_minus
+    tail_minus = wrap_angle(float(np.angle(z_first)) - th_minus)
+    total = (theta_last - theta_first) + tail_plus + tail_minus
     value = -0.5 * total
-
-    # resolution estimate: redo the unwrap on every other sample
-    theta_c = np.unwrap(theta[::2])
-    value_c = -0.5 * ((theta_c[-1] - theta_c[0]) + tail_plus + tail_minus)
-    err = abs(value - value_c) + 4.0 * np.abs(theta).max() * np.finfo(float).eps
+    value_c = -0.5 * ((theta_c[-1] - theta_first) + tail_plus + tail_minus)
+    err = abs(value - value_c) + 4.0 * max_abs * np.finfo(float).eps
     if err > 1e-3 * max(1.0, abs(value)):
         raise ConvergenceFailure(f"winding error estimate {err:g} out of bounds")
     return BerryIntegralResult(value=float(value), cutoff_k=float(cutoff_k), quadrature_error=float(err))

@@ -41,6 +41,10 @@ WILSON_GAP_RTOL = 1e-8
 
 WILSON_MIN_POINTS = 16
 
+# k samples per chunk of the Zak and Berry sweeps, so that their memory stays
+# a few MB for any nk; even, so every chunk starts on an even sample
+_K_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class BandPoint:
@@ -133,6 +137,18 @@ def zak_analytic(params: BulkParams) -> ZakResult:
     return ZakResult(value=float(value), classification=cls, k_points=0)
 
 
+def _overlap_product(states: np.ndarray, prod: complex) -> complex:
+    """prod times the overlaps <u_j|u_{j+1}> along (n + 1, 2) C-ordered states.
+
+    The overlaps are multiplied in order onto prod, so a loop cut into
+    pieces gives the bits of one product over the whole loop.
+    """
+    overlaps = np.sum(np.conj(states[:-1]) * states[1:], axis=1)
+    if np.any(np.abs(overlaps) < 1e-12):
+        raise GapClosure("vanishing overlap between neighboring states")
+    return np.multiply.reduce(overlaps, initial=prod)
+
+
 def wilson_loop_phase(states: np.ndarray) -> float:
     """-Im log of the cyclic product of neighbor overlaps <u_j|u_{j+1}>.
 
@@ -143,11 +159,7 @@ def wilson_loop_phase(states: np.ndarray) -> float:
     states = np.asarray(states, dtype=complex)
     if states.ndim != 2 or states.shape[1] != 2 or states.shape[0] < 2:
         raise ValidationError("states must be an (N, 2) array with N >= 2")
-    overlaps = np.sum(np.conj(states) * np.roll(states, -1, axis=0), axis=1)
-    if np.any(np.abs(overlaps) < 1e-12):
-        raise GapClosure("vanishing overlap between neighboring states")
-    prod = np.prod(overlaps)
-    return wrap_angle(-np.angle(prod))
+    return wrap_angle(-np.angle(_overlap_product(np.concatenate([states, states[:1]]), 1.0 + 0.0j)))
 
 
 def zak_wilson(params: BulkParams, band: str = "plus", nk: int = 2048) -> ZakResult:
@@ -156,22 +168,50 @@ def zak_wilson(params: BulkParams, band: str = "plus", nk: int = 2048) -> ZakRes
     Uses nk uniformly spaced momenta on [-pi/a, pi/a) (endpoint excluded;
     the loop closes by reusing the first state). Refuses with GapClosure if
     the sampled gap dips below 1e-8 * max(|v|, |w|).
+
+    The zone is swept in chunks of _K_CHUNK momenta, so memory does not
+    grow with nk; only the first and last states and the running product
+    pass from one chunk to the next. The refusal is the one a single pass
+    over the whole zone gives: a gap closure anywhere outranks an undefined
+    phase. An overlap vanishes only between the two samples nearest the
+    closest approach to h = 0, so a gap closure or undefined phase there
+    is found in the same chunk or an earlier one, before the overlap.
     """
     validate_bulk(params)
     s = band_sign(band)
     if nk < WILSON_MIN_POINTS:
         raise ValidationError(f"nk must be >= {WILSON_MIN_POINTS}, got {nk}")
     v, w, a = params.v, params.w, params.a
-    k = -np.pi / a + (2.0 * np.pi / a) * np.arange(nk) / nk
-    gap = np.abs(v + w * np.exp(-1j * a * k))
-    if gap.min() < WILSON_GAP_RTOL * max(abs(v), abs(w)):
-        raise GapClosure("band gap closes (to sampling accuracy) inside the zone")
-    phi = phase_phi(params, k)
-    states = np.empty((nk, 2), dtype=complex)
-    states[:, 0] = np.exp(0.5j * phi)
-    states[:, 1] = s * np.exp(-0.5j * phi)
-    states /= np.sqrt(2.0)
-    gamma = wilson_loop_phase(states)
+    gap_tol = WILSON_GAP_RTOL * max(abs(v), abs(w))
+    phase_error = None
+    prod = 1.0 + 0.0j
+    for start in range(0, nk, _K_CHUNK):
+        k = -np.pi / a + (2.0 * np.pi / a) * np.arange(start, min(start + _K_CHUNK, nk)) / nk
+        if np.abs(v + w * np.exp(-1j * a * k)).min() < gap_tol:
+            raise GapClosure("band gap closes (to sampling accuracy) inside the zone")
+        if phase_error is not None:
+            continue
+        try:
+            phi = phase_phi(params, k)
+        except GapClosure as exc:
+            phase_error = exc
+            continue
+        # row 0 holds the previous chunk's last state
+        states = np.empty((k.size + 1, 2), dtype=complex)
+        states[1:, 0] = np.exp(0.5j * phi)
+        states[1:, 1] = s * np.exp(-0.5j * phi)
+        states[1:] /= np.sqrt(2.0)
+        if start:
+            states[0] = last
+        else:
+            states = states[1:]
+            first = states[0].copy()
+        prod = _overlap_product(states, prod)
+        last = states[-1].copy()
+    if phase_error is not None:
+        raise phase_error
+    prod = _overlap_product(np.stack([last, first]), prod)  # the wrap
+    gamma = wrap_angle(-np.angle(prod))
     dist_topo = abs(wrap_angle(gamma - np.pi))
     dist_triv = abs(wrap_angle(gamma))
     cls = "topological" if dist_topo < dist_triv else "trivial"

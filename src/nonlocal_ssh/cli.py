@@ -29,7 +29,7 @@ import numpy as np
 
 from . import approx, bulk, edge, finite
 from .errors import ModelError, NumericalError, ValidationError
-from .model import BulkParams, FiniteParams, validate_bulk, validate_finite
+from .model import BulkParams, FiniteParams, validate_bulk
 from .serialize import Table, complex_fields, emit_csv, emit_json, envelope, load_config
 
 BULK_KEYS = ("v", "w", "a")
@@ -165,6 +165,9 @@ def _cmd_approx(args) -> int:
     inputs = {"command": "approx", "v": params.v, "w": params.w, "a": params.a,
               "order": args.order, "samples": args.samples}
     if args.order == "all":
+        if args.kmin is not None or args.kmax is not None:
+            raise ValidationError("--kmin/--kmax need a single --order; "
+                                  "the all-orders table spans one zone")
         cols, rows = approx.comparison_table(params, k_samples=args.samples)
         table = Table(columns=cols, rows=rows)
     else:
@@ -200,23 +203,12 @@ def _box_inputs(command: str, params: FiniteParams, **extra) -> dict:
     return doc
 
 
-def _zero_window(tol: float, params: FiniteParams) -> float:
-    """The zero-mode window tol*|w0|; refused unless positive and finite."""
-    tol_abs = tol * abs(params.w0)
-    if not 0.0 < tol_abs < math.inf:
-        raise ValidationError(
-            f"--tol-zero {tol} gives the zero-mode window tol*|w0| = {tol_abs}; "
-            "it must be positive and finite"
-        )
-    return tol_abs
-
-
 def _cmd_finite(args) -> int:
     params = _box_params(args)
     if args.vectors and not args.out:
         raise ValidationError("--vectors needs --out to place per-state files")
     op = finite.build_finite(params)  # validates, so v0 = w0 = 0 is reported as such
-    tol_abs = _zero_window(args.tol_zero, params)
+    tol_abs = finite.check_zero_window(args.tol_zero * abs(params.w0))
     res = finite.spectrum(op)
     n_zero = finite.zero_mode_count(res.eigenvalues, tol_abs)
     inputs = _box_inputs("finite", params, tol_zero=args.tol_zero, vectors=bool(args.vectors))
@@ -241,9 +233,9 @@ def _cmd_finite(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    params = validate_finite(_box_params(args))  # v0 = w0 = 0 is reported as such
-    tol_abs = _zero_window(args.tol_zero, params)
-    cmp = finite.compare_ssh(params, tol_zero=tol_abs)
+    params = _box_params(args)
+    # validates the box before the window, so v0 = w0 = 0 is reported as such
+    cmp = finite.compare_ssh(params, tol_zero=args.tol_zero * abs(params.w0))
     idx = np.arange(cmp.e_box.size)
     table = Table(columns=["index", "E_box", "E_ssh"],
                   rows=np.column_stack([idx, cmp.e_box, cmp.e_chain]))

@@ -26,6 +26,7 @@ size ceiling.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -268,9 +269,16 @@ def default_zero_tol(params: FiniteParams) -> float:
     return ZERO_TOL_DEFAULT * abs(params.w0)
 
 
+def check_zero_window(tol_abs: float) -> float:
+    """The zero-mode window |E| < tol_abs; refused unless positive and finite."""
+    if not 0.0 < tol_abs < math.inf:
+        raise ValidationError(f"the zero-mode window {tol_abs} must be positive and finite")
+    return float(tol_abs)
+
+
 def zero_mode_count(eigenvalues: np.ndarray, tol_abs: float) -> int:
-    """Number of eigenvalues inside the window |E| < tol_abs."""
-    return int(np.sum(np.abs(np.asarray(eigenvalues)) < tol_abs))
+    """Number of eigenvalues inside the window |E| < tol_abs (checked)."""
+    return int(np.sum(np.abs(np.asarray(eigenvalues)) < check_zero_window(tol_abs)))
 
 
 @dataclass(frozen=True)
@@ -397,10 +405,11 @@ def compare_ssh(params: FiniteParams, tol_zero: float | None = None) -> Spectrum
     Both systems have 2P levels. The chain is the a = dx limit of the same
     couplings, so the bulk densities agree while the midgap content differs:
     the box hosts 2m near-zero modes in the topological phase, the chain 2.
+    tol_zero is the absolute zero-mode window, 1e-8*|w0| by default; one
+    that is not positive and finite is a ValidationError.
     """
     op = build_finite(params)
-    if tol_zero is None:
-        tol_zero = default_zero_tol(params)
+    tol_zero = check_zero_window(default_zero_tol(params) if tol_zero is None else tol_zero)
     # the P-cell chain is the m = 1 case of the box's chain block; it is the
     # larger block, so its size guard runs before the box is solved
     s = np.linalg.svd(_chain_block(params.n_points, params.v0, params.w0), compute_uv=False)

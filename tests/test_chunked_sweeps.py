@@ -1,0 +1,268 @@
+"""The Zak Wilson loop and the Berry winding swept in chunks of k samples.
+
+Both sweeps run over their k grid in chunks of a fixed size so that memory
+does not grow with nk. The references below are the one-pass versions they
+replaced, which hold every array at full length; the chunked results must
+equal them bit for bit, refusals included.
+"""
+
+import itertools
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from nonlocal_ssh import approx, bulk
+from nonlocal_ssh.errors import (
+    ConvergenceFailure,
+    CutoffTooSmall,
+    GapClosure,
+    UnsupportedOrder,
+    ValidationError,
+)
+from nonlocal_ssh.model import BulkParams, _require_finite, band_sign, validate_bulk, wrap_angle
+
+CHUNK = bulk._K_CHUNK
+SIGNS = list(itertools.product([1.0, -1.0], repeat=2))
+RNG = np.random.default_rng(65536)
+
+
+def _wilson_loop_phase_reference(states):
+    overlaps = np.sum(np.conj(states) * np.roll(states, -1, axis=0), axis=1)
+    if np.any(np.abs(overlaps) < 1e-12):
+        raise GapClosure("vanishing overlap between neighboring states")
+    return wrap_angle(-np.angle(np.prod(overlaps)))
+
+
+def _zak_reference(params, band, nk):
+    validate_bulk(params)
+    s = band_sign(band)
+    if nk < bulk.WILSON_MIN_POINTS:
+        raise ValidationError(f"nk must be >= {bulk.WILSON_MIN_POINTS}, got {nk}")
+    v, w, a = params.v, params.w, params.a
+    k = -np.pi / a + (2.0 * np.pi / a) * np.arange(nk) / nk
+    gap = np.abs(v + w * np.exp(-1j * a * k))
+    if gap.min() < bulk.WILSON_GAP_RTOL * max(abs(v), abs(w)):
+        raise GapClosure("band gap closes (to sampling accuracy) inside the zone")
+    phi = bulk.phase_phi(params, k)
+    states = np.empty((nk, 2), dtype=complex)
+    states[:, 0] = np.exp(0.5j * phi)
+    states[:, 1] = s * np.exp(-0.5j * phi)
+    states /= np.sqrt(2.0)
+    gamma = _wilson_loop_phase_reference(states)
+    dist_topo = abs(wrap_angle(gamma - np.pi))
+    dist_triv = abs(wrap_angle(gamma))
+    cls = "topological" if dist_topo < dist_triv else "trivial"
+    return bulk.ZakResult(value=gamma, classification=cls, k_points=nk)
+
+
+def _berry_reference(params, order, band="plus", cutoff_k=None, nk=approx.BERRY_NK):
+    validate_bulk(params)
+    band_sign(band)
+    if order not in (1, 2):
+        raise UnsupportedOrder(f"Berry integral implemented for orders 1 and 2, got {order}")
+    v, w, a = params.v, params.w, params.a
+    if cutoff_k is None:
+        cutoff_k = approx.BERRY_DEFAULT_CUTOFF / a
+    _require_finite(cutoff_k=cutoff_k)
+    if cutoff_k * a < approx.BERRY_MIN_CUTOFF:
+        raise CutoffTooSmall(f"cutoff_k must be >= {approx.BERRY_MIN_CUTOFF}/a")
+    if order == 2 and w != 0.0:
+        crossing = np.sqrt(max(2.0 * (v + w) / w, 0.0))
+        if cutoff_k * a < 10.0 * max(1.0, crossing):
+            raise CutoffTooSmall(
+                "cutoff_k too close to the axis-crossing scale sqrt(2(v+w)/w)/a"
+            )
+    if nk < 1001:
+        raise ValidationError(f"nk must be >= 1001, got {nk}")
+    if w == 0.0:
+        return approx.BerryIntegralResult(value=0.0, cutoff_k=float(cutoff_k), quadrature_error=0.0)
+    ks = np.linspace(-cutoff_k, cutoff_k, nk)
+    z = approx._b_numerator(params, order, ks)
+    if np.min(np.abs(z)) < bulk.GAP_ABS_TOL * (abs(v) + abs(w)):
+        raise GapClosure("truncated bands touch zero inside the cutoff")
+    theta = np.unwrap(np.angle(z))
+    steps = np.abs(np.diff(theta))
+    if steps.max() > 0.5 * np.pi:
+        raise ConvergenceFailure("k sampling too coarse to track the phase winding")
+    th_plus, th_minus = approx._asymptote_angles(params, order)
+    tail_plus = wrap_angle(th_plus - float(np.angle(z[-1])))
+    tail_minus = wrap_angle(float(np.angle(z[0])) - th_minus)
+    total = (theta[-1] - theta[0]) + tail_plus + tail_minus
+    value = -0.5 * total
+    theta_c = np.unwrap(theta[::2])
+    value_c = -0.5 * ((theta_c[-1] - theta_c[0]) + tail_plus + tail_minus)
+    err = abs(value - value_c) + 4.0 * np.abs(theta).max() * np.finfo(float).eps
+    if err > 1e-3 * max(1.0, abs(value)):
+        raise ConvergenceFailure(f"winding error estimate {err:g} out of bounds")
+    return approx.BerryIntegralResult(value=float(value), cutoff_k=float(cutoff_k),
+                                      quadrature_error=float(err))
+
+
+def _outcome(fn, *args, **kwargs):
+    """Result fields as a tuple, or the refusal's type and message."""
+    try:
+        res = fn(*args, **kwargs)
+    except Exception as exc:  # the refusal itself is compared
+        return type(exc).__name__, str(exc)
+    return tuple(getattr(res, f) for f in res.__dataclass_fields__)
+
+
+def _same(a, b):
+    # repr gives the shortest string that reads back to the same float, so
+    # equal reprs mean equal bits on every field (and -0.0 differs from 0.0)
+    assert repr(a) == repr(b)
+
+
+def _random_bulk(sv, sw):
+    v, w = RNG.uniform(0.1, 3.0, 2)
+    return BulkParams(v=sv * v, w=sw * w, a=float(RNG.uniform(0.2, 3.0)))
+
+
+@pytest.mark.parametrize("nk", [16, 2047, 2048, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_zak_chunks_match_one_pass(nk):
+    for (sv, sw), band in itertools.product(SIGNS, ("plus", "minus")):
+        p = _random_bulk(sv, sw)
+        _same(_outcome(bulk.zak_wilson, p, band=band, nk=nk), _outcome(_zak_reference, p, band, nk))
+
+
+@pytest.mark.parametrize("nk", [1001, 1002, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 2 * CHUNK + 2])
+def test_berry_chunks_match_one_pass(nk):
+    for (sv, sw), order, band in itertools.product(SIGNS, (1, 2), ("plus", "minus")):
+        p = _random_bulk(sv, sw)
+        _same(_outcome(approx.berry_integral, p, order, band=band, nk=nk),
+              _outcome(_berry_reference, p, order, band=band, nk=nk))
+
+
+@pytest.mark.parametrize("chunk", [4, 6, 64, 1000])
+def test_small_chunks_match_one_pass(monkeypatch, chunk):
+    # many chunk boundaries on small grids, so every carry is exercised
+    monkeypatch.setattr(bulk, "_K_CHUNK", chunk)
+    monkeypatch.setattr(approx, "_K_CHUNK", chunk)
+    for (sv, sw), nk in itertools.product(SIGNS, (1001, 1002, 1003, 4096)):
+        p = _random_bulk(sv, sw)
+        _same(_outcome(bulk.zak_wilson, p, nk=nk), _outcome(_zak_reference, p, "plus", nk))
+        for order in (1, 2):
+            _same(_outcome(approx.berry_integral, p, order, nk=nk),
+                  _outcome(_berry_reference, p, order, nk=nk))
+    # a coarse grid whose phase steps exceed pi/2 across chunk boundaries
+    p = BulkParams(v=0.5, w=1.0, a=1.0)
+    for order, cutoff_k, nk in ((1, 1e9, 1001), (2, 1e7, 1001), (2, 1e7, 3 * 1000)):
+        _same(_outcome(approx.berry_integral, p, order, cutoff_k=cutoff_k, nk=nk),
+              _outcome(_berry_reference, p, order, cutoff_k=cutoff_k, nk=nk))
+
+
+@pytest.mark.parametrize("v, w, nk, message", [
+    # v = -w closes the gap at k = 0, sample nk/2 = 2^17: in the third chunk
+    (1.0, -1.0, 2 ** 18, "band gap closes"),
+    # |v + w e^{-iak}| < 1e-12 everywhere, but the gap closure in the third
+    # chunk outranks the undefined phase found in the first
+    (1e-13, -1e-13, 2 ** 18, "band gap closes"),
+    (1e-13, 2e-13, 2 * CHUNK + 3, "phase undefined"),
+    # k = 0 falls midway between samples CHUNK - 1 and CHUNK, whose states
+    # are orthogonal: the vanishing overlap spans a chunk boundary
+    (-np.cos(np.pi / (2 * CHUNK - 1)), 1.0, 2 * CHUNK - 1, "vanishing overlap"),
+    (-np.cos(np.pi / (2 * CHUNK + 1)), 1.0, 2 * CHUNK + 1, "vanishing overlap"),
+])
+def test_zak_refusals_in_later_chunks(v, w, nk, message):
+    p = BulkParams(v=v, w=w, a=1.0)
+    got = _outcome(bulk.zak_wilson, p, nk=nk)
+    assert got[0] == "GapClosure" and message in got[1]
+    _same(got, _outcome(_zak_reference, p, "plus", nk))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_berry_gap_closure_in_a_later_chunk(order):
+    # z(0) = v + w = 0 at the middle sample, CHUNK, the second chunk's first
+    p = BulkParams(v=1.0, w=-1.0, a=1.0)
+    got = _outcome(approx.berry_integral, p, order, nk=2 * CHUNK + 1)
+    assert got[0] == "GapClosure"
+    _same(got, _outcome(_berry_reference, p, order, nk=2 * CHUNK + 1))
+
+
+@pytest.mark.parametrize("cutoff_k, nk", [(64754.23220626758, 1001), (386.813, 140001)])
+def test_berry_chunks_sample_np_linspace(monkeypatch, cutoff_k, nk):
+    # (nk - 1) * step - cutoff_k rounds away from cutoff_k here; np.linspace
+    # puts the cutoff itself at the end, and so must every chunking
+    assert (nk - 1) * ((cutoff_k + cutoff_k) / (nk - 1)) - cutoff_k != cutoff_k
+    numerator = approx._b_numerator
+    for chunk in (CHUNK, 64):
+        seen = []
+        monkeypatch.setattr(approx, "_K_CHUNK", chunk)
+        monkeypatch.setattr(approx, "_b_numerator", lambda p, o, k: seen.append(k) or numerator(p, o, k))
+        approx.berry_integral(BulkParams(v=0.5, w=1.0, a=1.0), 1, cutoff_k=cutoff_k, nk=nk)
+        assert np.concatenate(seen).tobytes() == np.linspace(-cutoff_k, cutoff_k, nk).tobytes()
+
+
+def test_unwrap_chunks_match_np_unwrap():
+    # a random walk of phases wraps thousands of times; each correction is
+    # 2 pi only to rounding, so the running sum's bits depend on the order
+    # in which the corrections are added
+    p = np.angle(np.exp(1j * np.cumsum(RNG.uniform(-3.0, 3.0, 20_000))))
+    cuts_list = ([], [2], [2, 3], sorted(RNG.choice(np.arange(2, 20_000), 40, replace=False)))
+    for cuts in cuts_list:
+        parts, carry = [], None
+        for piece in np.split(p, cuts):
+            theta, carry = approx._unwrap_chunk(piece, carry)
+            parts.append(theta)
+        assert np.concatenate(parts).tobytes() == np.unwrap(p).tobytes()
+
+
+def test_overlap_product_chains_bit_for_bit():
+    states = RNG.normal(size=(5001, 2)) + 1j * RNG.normal(size=(5001, 2))
+    states /= np.linalg.norm(states, axis=1)[:, None]
+    whole = np.prod(np.sum(np.conj(states[:-1]) * states[1:], axis=1))
+    for cuts in ([1], [2500], sorted(RNG.choice(np.arange(1, 5000), 30, replace=False))):
+        prod, lo = 1.0 + 0.0j, 0
+        for hi in [*cuts, 5000]:
+            prod = bulk._overlap_product(states[lo:hi + 1], prod)  # neighbors share a state
+            lo = hi
+        assert repr(prod) == repr(whole)
+
+
+def test_wilson_loop_phase_matches_one_pass():
+    for n in (2, 3, 17, 512):
+        for _ in range(5):
+            states = RNG.normal(size=(n, 2)) + 1j * RNG.normal(size=(n, 2))
+            states /= np.linalg.norm(states, axis=1)[:, None]
+            assert repr(bulk.wilson_loop_phase(states)) == repr(_wilson_loop_phase_reference(states))
+    up = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(GapClosure, match="vanishing overlap"):
+        bulk.wilson_loop_phase(up)
+
+
+def test_berry_error_is_rounding_floor_or_half_last_step():
+    # steps <= pi/2 leave the half-resolution unwrap with nothing to correct,
+    # so for odd nk it ends on the last sample and the estimate is the
+    # rounding floor 4 max|theta| eps; for even nk it stops one sample short
+    # and adds half the last phase step
+    p = BulkParams(v=0.5, w=1.0, a=1.0)
+    for order in (1, 2):
+        for nk in (CHUNK + 1, CHUNK):
+            ks = np.linspace(-1e4, 1e4, nk)
+            theta = np.unwrap(np.angle(approx._b_numerator(p, order, ks)))
+            floor = 4.0 * np.abs(theta).max() * np.finfo(float).eps
+            err = approx.berry_integral(p, order, nk=nk).quadrature_error
+            if nk % 2:
+                assert err == floor
+            else:
+                assert err == pytest.approx(floor + 0.5 * abs(theta[-1] - theta[-2]), rel=1e-6)
+
+
+def _peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_zak_memory_is_bounded():
+    p = BulkParams(v=0.5, w=1.0, a=1.0)
+    assert _peak_mb(lambda: bulk.zak_wilson(p, nk=2 ** 22)) < 16.0
+
+
+def test_berry_memory_is_bounded():
+    p = BulkParams(v=0.5, w=1.0, a=1.0)
+    assert _peak_mb(lambda: approx.berry_integral(p, 2, nk=8_000_001)) < 16.0

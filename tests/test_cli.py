@@ -257,6 +257,21 @@ def test_bulk_ranges_refused(capsys, argv, message):
     assert out == "" and message in err
 
 
+@pytest.mark.parametrize("flags", [("--kmin", "0", "--kmax", "1"), ("--kmin", "0"), ("--kmax", "1")])
+def test_approx_all_orders_refuses_k_range(tmp_path, capsys, flags):
+    # the all-orders table always spans one zone of ka; a k range would be ignored
+    out = tmp_path / "old.csv"
+    out.write_bytes(b"earlier result\n")
+    for order in ([], ["--order", "all"]):
+        for extra in ([], ["--out", str(out)]):
+            argv = ["approx", *BULK, *order, *flags, "--samples", "3", *extra]
+            assert cli.main(argv) == 2
+            stdout, err = capsys.readouterr()
+            assert stdout == "" and "--kmin/--kmax need a single --order" in err
+    assert out.read_bytes() == b"earlier result\n"
+    assert cli.main(["approx", *BULK, "--order", "1", *flags, "--samples", "3"]) == 0
+
+
 def test_edge_camel_case_flag_aliases():
     base = ("--v0", "0.5", "--w0", "1", "--a", "0.2", "--L", "4", "--dx", "0.0125")
     r1 = run("edge", *base, "--n-a", "3", "--m-a", "1", "--n-b", "5", "--m-b", "2")

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonlocal_ssh.edge import (
+    COMPONENTS,
     EdgeLabels,
     build_zero_mode,
     count_admissible_labels,
@@ -56,6 +59,35 @@ def test_zero_modes_all_sign_pairs(v0, w0):
         psi = st.psi_a if comp == "A" else st.psi_b
         fit = localization_fit(op.grid, psi, box.a)
         assert fit.slope == pytest.approx(sign * RATE, rel=0.02)
+
+
+@st.composite
+def _edge_case(draw):
+    # the topological phase |v0| < |w0| (in the trivial phase the modes sit
+    # at the wrong wall and are no kernel states) with any sign pair, and
+    # L/a a whole number of hops so that every harmonic below the Nyquist
+    # bound a/(2 dx) closes at both walls. A mode misses the kernel only by
+    # its tail at the far wall, |v0/w0|^(L/a); that is held under e^-40.
+    hops = draw(st.integers(4, 40))
+    per_hop = draw(st.integers(4, 12))
+    w0 = draw(st.floats(0.5, 2.0))
+    v0 = w0 * np.exp(-draw(st.floats(40.0, 100.0)) / hops)
+    sv, sw = draw(st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+    a = draw(st.floats(0.1, 2.0))
+    box = FiniteParams(v0=sv * float(v0), w0=sw * w0, a=a, L=hops * a, dx=a / per_hop)
+    labels = EdgeLabels(n=draw(st.integers(1, per_hop // 2 - 1)), m=draw(st.integers(-3, 3)))
+    return box, draw(st.sampled_from(COMPONENTS)), labels
+
+
+@settings(max_examples=50, deadline=None)
+@given(_edge_case())
+def test_zero_mode_residual_property(case):
+    # the analytic modes are kernel states of the box for every sign pair
+    box, comp, labels = case
+    mode = build_zero_mode(box, comp, labels)
+    assert operator_residual(build_finite(box), mode.state) < 1e-10
+    factor = -box.v0 / box.w0 if comp == "A" else -box.w0 / box.v0
+    assert np.exp(mode.q * box.a) == pytest.approx(factor, rel=1e-12)
 
 
 def test_phase_label_values():

@@ -348,6 +348,21 @@ def test_zero_mode_window_is_strict():
     assert zero_mode_count(ev, 1e-9) == 1  # strict inequality
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 0.0, -1e-8])
+def test_zero_mode_window_must_be_positive_and_finite(tol):
+    # a nan window used to count no level and an infinite one every level
+    with pytest.raises(ValidationError, match="zero-mode window"):
+        zero_mode_count(np.array([-1.0, 0.0, 1.0]), tol)
+    with pytest.raises(ValidationError, match="zero-mode window"):
+        compare_ssh(FiniteParams(v0=0.5, w0=1.0, a=0.2, L=2.0, dx=0.05), tol_zero=tol)
+
+
+def test_default_zero_mode_window_needs_w0():
+    # the default window 1e-8*|w0| is empty when w0 = 0
+    with pytest.raises(ValidationError, match="zero-mode window"):
+        compare_ssh(FiniteParams(v0=0.5, w0=0.0, a=0.2, L=2.0, dx=0.05))
+
+
 def test_nonzero_levels_stay_in_bulk_band():
     # open-chain levels obey E^2 = v^2 + w^2 + 2 v w cos(theta), so away
     # from the midgap states |E| lies inside [|v|-|w|, |v|+|w|]
