@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedOrder,
     ValidationError,
 )
-from .model import BlochState, BulkParams, _require_finite, band_sign, validate_bulk, wrap_angle
+from .model import BlochState, BulkParams, _require_finite, band_sign, wrap_angle
 
 ORDERS = (0, 1, 2)
 
@@ -68,7 +68,6 @@ def _b_numerator(params: BulkParams, order: int, k):
 
 def approx_matrix(params: BulkParams, order: int, k: float) -> np.ndarray:
     """2x2 momentum-space matrix of the order-n truncation."""
-    validate_bulk(params)
     _check_order(order)
     z = complex(_b_numerator(params, order, k))
     return np.array([[0.0, np.conj(z)], [z, 0.0]], dtype=complex)
@@ -76,7 +75,6 @@ def approx_matrix(params: BulkParams, order: int, k: float) -> np.ndarray:
 
 def approx_bands(params: BulkParams, order: int, k) -> BandPoint:
     """Truncated band energies +-|z(k)| (scalar or array k)."""
-    validate_bulk(params)
     _check_order(order)
     k = np.asarray(k, dtype=float)
     e = np.abs(_b_numerator(params, order, k))
@@ -89,7 +87,6 @@ def approx_eigvec(params: BulkParams, order: int, band: str, k: float) -> BlochS
     |z| = |E| makes the stated form unit-norm already; it is renormalized
     anyway so the constructor's norm check reflects arithmetic only.
     """
-    validate_bulk(params)
     _check_order(order)
     s = band_sign(band)
     z = complex(_b_numerator(params, order, k))
@@ -169,7 +166,6 @@ def berry_integral(
     k = 0, and when it does, a phase step above pi/2 must start or end on
     that sample, so the gap closure is found first.
     """
-    validate_bulk(params)
     band_sign(band)
     if order not in (1, 2):
         raise UnsupportedOrder(f"Berry integral implemented for orders 1 and 2, got {order}")
@@ -235,7 +231,6 @@ def comparison_table(params: BulkParams, k_samples: int = 401):
     Returns (columns, rows): column names and an (k_samples, 9) array with
     ka in [-pi, pi] followed by the order-0/1/2 and exact band pairs.
     """
-    validate_bulk(params)
     if k_samples < 2:
         raise ValidationError(f"k_samples must be >= 2, got {k_samples}")
     ka = np.linspace(-np.pi, np.pi, k_samples)

@@ -29,7 +29,6 @@ from .model import (
     BlochState,
     BulkParams,
     band_sign,
-    validate_bulk,
     wrap_angle,
 )
 
@@ -66,7 +65,6 @@ class ZakResult:
 
 def bloch_matrix(params: BulkParams, k: float) -> np.ndarray:
     """2x2 Bloch Hamiltonian at momentum k."""
-    validate_bulk(params)
     h = params.v + params.w * np.exp(-1j * params.a * k)
     return np.array([[0.0, h], [np.conj(h), 0.0]], dtype=complex)
 
@@ -76,7 +74,6 @@ def energy_bands(params: BulkParams, k):
 
     Returns a BandPoint with e_plus = -e_minus >= 0.
     """
-    validate_bulk(params)
     k = np.asarray(k, dtype=float)
     v, w, a = params.v, params.w, params.a
     # dividing by a power of two near max(|v|, |w|) keeps the squares from
@@ -98,7 +95,6 @@ def phase_phi(params: BulkParams, k):
     noise floor are snapped to +0 before arctan2, which realizes the
     convention in floating point.
     """
-    validate_bulk(params)
     k = np.asarray(k, dtype=float)
     v, w, a = params.v, params.w, params.a
     ak = a * k
@@ -128,7 +124,6 @@ def zak_analytic(params: BulkParams) -> ZakResult:
     (-pi, pi]; which band carries +pi and which -pi is a gauge choice, and
     the two coincide mod 2*pi). Raises CriticalPoint at |v| = |w|.
     """
-    validate_bulk(params)
     av, aw = abs(params.v), abs(params.w)
     if av == aw:
         raise CriticalPoint("|v| = |w|: gap closes, Zak phase undefined")
@@ -177,7 +172,6 @@ def zak_wilson(params: BulkParams, band: str = "plus", nk: int = 2048) -> ZakRes
     closest approach to h = 0, so a gap closure or undefined phase there
     is found in the same chunk or an earlier one, before the overlap.
     """
-    validate_bulk(params)
     s = band_sign(band)
     if nk < WILSON_MIN_POINTS:
         raise ValidationError(f"nk must be >= {WILSON_MIN_POINTS}, got {nk}")

@@ -4,12 +4,14 @@ Subcommands: bands, zak, approx, berry, finite, edge, compare-ssh. Curve
 data goes out as CSV, scalar results as single-line JSON. Parameters come
 from flags or a flat key=value config file (--config), flags winning.
 
-Output routing: a CSV-producing command writes its table to --out (or
-stdout) and echoes the resolved inputs on stderr. Commands that produce a
-table plus scalar diagnostics (finite, edge, compare-ssh) write the table
-to --out and the JSON to stdout, or, without --out, the table to stdout
-and the JSON to stderr. Reruns with identical inputs are byte-identical on
-every primary stream; elapsed time is reported only on stderr.
+Output routing: a CSV-producing command (bands, approx, finite) writes its
+table to --out (or stdout) and echoes the resolved inputs on stderr;
+finite also writes its summary JSON to stderr, with or without --out.
+edge and compare-ssh, which produce a table plus scalar diagnostics, write
+the table to --out and the JSON to stdout, or, without --out, the table to
+stdout and the JSON to stderr. Reruns with identical inputs are
+byte-identical on every primary stream; elapsed time is reported only on
+stderr.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import math
 import os
@@ -29,11 +32,11 @@ import numpy as np
 
 from . import approx, bulk, edge, finite
 from .errors import ModelError, NumericalError, ValidationError
-from .model import BulkParams, FiniteParams, validate_bulk
+from .model import BulkParams, FiniteParams
 from .serialize import Table, complex_fields, emit_csv, emit_json, envelope, load_config
 
-BULK_KEYS = ("v", "w", "a")
-BOX_KEYS = ("v0", "w0", "a", "L", "dx")
+BULK_KEYS = tuple(f.name for f in dataclasses.fields(BulkParams))
+BOX_KEYS = tuple(f.name for f in dataclasses.fields(FiniteParams))
 
 
 def _add_common(p: argparse.ArgumentParser, keys) -> None:
@@ -43,27 +46,19 @@ def _add_common(p: argparse.ArgumentParser, keys) -> None:
     p.add_argument("--out", help="write the primary output to this file")
 
 
-def _resolve(args, keys) -> dict[str, float]:
+def _params(args, cls):
+    """The record cls built from its fields' flags or the config file, flags winning."""
     config = load_config(args.config) if args.config else {}
     resolved = {}
-    for key in keys:
+    for field in dataclasses.fields(cls):
+        key = field.name
         val = getattr(args, key)
         if val is None:
             val = config.get(key)
         if val is None:
             raise ValidationError(f"missing parameter {key!r} (flag --{key} or config file)")
         resolved[key] = float(val)
-    return resolved
-
-
-def _bulk_params(args) -> BulkParams:
-    got = _resolve(args, BULK_KEYS)
-    return BulkParams(v=got["v"], w=got["w"], a=got["a"])
-
-
-def _box_params(args) -> FiniteParams:
-    got = _resolve(args, BOX_KEYS)
-    return FiniteParams(v0=got["v0"], w0=got["w0"], a=got["a"], L=got["L"], dx=got["dx"])
+    return cls(**resolved)
 
 
 @contextlib.contextmanager
@@ -119,21 +114,20 @@ def _k_range(args, params: BulkParams) -> tuple[float, float]:
     for flag, val in (("--kmin", args.kmin), ("--kmax", args.kmax)):
         if val is not None and not math.isfinite(val):
             raise ValidationError(f"{flag} must be finite, got {val}")
-    validate_bulk(params)  # a > 0 before the default zone divides by it
     kmin = args.kmin if args.kmin is not None else -np.pi / params.a
     kmax = args.kmax if args.kmax is not None else np.pi / params.a
     return kmin, kmax
 
 
 def _cmd_bands(args) -> int:
-    params = _bulk_params(args)
+    params = _params(args, BulkParams)
     kmin, kmax = _k_range(args, params)
     if args.samples < 2:
         raise ValidationError("--samples must be >= 2")
     k = np.linspace(kmin, kmax, args.samples)
     bp = bulk.energy_bands(params, k)
     phi = bulk.phase_phi(params, k)
-    inputs = {"command": "bands", "v": params.v, "w": params.w, "a": params.a,
+    inputs = {"command": "bands", **dataclasses.asdict(params),
               "kmin": float(kmin), "kmax": float(kmax), "samples": args.samples}
     table = Table(columns=["k", "E_minus", "E_plus", "phi"],
                   rows=np.column_stack([k, bp.e_minus, bp.e_plus, phi]))
@@ -142,12 +136,12 @@ def _cmd_bands(args) -> int:
 
 
 def _cmd_zak(args) -> int:
-    params = _bulk_params(args)
+    params = _params(args, BulkParams)
     if args.method == "analytic":
         res = bulk.zak_analytic(params)
     else:
         res = bulk.zak_wilson(params, band=args.band, nk=args.nk)
-    inputs = {"command": "zak", "v": params.v, "w": params.w, "a": params.a,
+    inputs = {"command": "zak", **dataclasses.asdict(params),
               "band": args.band, "nk": args.nk, "method": args.method}
     _emit_envelope(envelope(inputs, {
         "gamma": res.value,
@@ -158,11 +152,11 @@ def _cmd_zak(args) -> int:
 
 
 def _cmd_approx(args) -> int:
-    params = _bulk_params(args)
+    params = _params(args, BulkParams)
     kmin, kmax = _k_range(args, params)
     if args.samples < 2:
         raise ValidationError("--samples must be >= 2")
-    inputs = {"command": "approx", "v": params.v, "w": params.w, "a": params.a,
+    inputs = {"command": "approx", **dataclasses.asdict(params),
               "order": args.order, "samples": args.samples}
     if args.order == "all":
         if args.kmin is not None or args.kmax is not None:
@@ -182,10 +176,10 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_berry(args) -> int:
-    params = _bulk_params(args)
+    params = _params(args, BulkParams)
     res = approx.berry_integral(params, order=args.order, band=args.band,
                                 cutoff_k=args.cutoff_k, nk=args.nk)
-    inputs = {"command": "berry", "v": params.v, "w": params.w, "a": params.a,
+    inputs = {"command": "berry", **dataclasses.asdict(params),
               "order": args.order, "band": args.band,
               "cutoff_k": res.cutoff_k, "nk": args.nk}
     _emit_envelope(envelope(inputs, {
@@ -196,22 +190,16 @@ def _cmd_berry(args) -> int:
     return 0
 
 
-def _box_inputs(command: str, params: FiniteParams, **extra) -> dict:
-    doc = {"command": command, "v0": params.v0, "w0": params.w0,
-           "a": params.a, "L": params.L, "dx": params.dx}
-    doc.update(extra)
-    return doc
-
-
 def _cmd_finite(args) -> int:
-    params = _box_params(args)
+    params = _params(args, FiniteParams)
     if args.vectors and not args.out:
         raise ValidationError("--vectors needs --out to place per-state files")
-    op = finite.build_finite(params)  # validates, so v0 = w0 = 0 is reported as such
+    op = finite.build_finite(params)
     tol_abs = finite.check_zero_window(args.tol_zero * abs(params.w0))
     res = finite.spectrum(op)
     n_zero = finite.zero_mode_count(res.eigenvalues, tol_abs)
-    inputs = _box_inputs("finite", params, tol_zero=args.tol_zero, vectors=bool(args.vectors))
+    inputs = {"command": "finite", **dataclasses.asdict(params),
+              "tol_zero": args.tol_zero, "vectors": bool(args.vectors)}
     table = Table(columns=["index", "eigenvalue"],
                   rows=np.column_stack([np.arange(res.eigenvalues.size), res.eigenvalues]))
     _write_table(table, args.out, inputs)
@@ -233,13 +221,12 @@ def _cmd_finite(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    params = _box_params(args)
-    # validates the box before the window, so v0 = w0 = 0 is reported as such
+    params = _params(args, FiniteParams)
     cmp = finite.compare_ssh(params, tol_zero=args.tol_zero * abs(params.w0))
     idx = np.arange(cmp.e_box.size)
     table = Table(columns=["index", "E_box", "E_ssh"],
                   rows=np.column_stack([idx, cmp.e_box, cmp.e_chain]))
-    inputs = _box_inputs("compare-ssh", params, tol_zero=args.tol_zero)
+    inputs = {"command": "compare-ssh", **dataclasses.asdict(params), "tol_zero": args.tol_zero}
     doc = envelope(inputs, {
         "ks_distance": cmp.ks_distance,
         "zero_modes_box": cmp.zero_modes_box,
@@ -252,7 +239,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_edge(args) -> int:
-    params = _box_params(args)
+    params = _params(args, FiniteParams)
     op = finite.build_finite(params)
     mode_a = edge.build_zero_mode(params, "A", edge.EdgeLabels(n=args.n_a, m=args.m_a))
     mode_b = edge.build_zero_mode(params, "B", edge.EdgeLabels(n=args.n_b, m=args.m_b))
@@ -268,8 +255,8 @@ def _cmd_edge(args) -> int:
             np.real(mode_a.state.psi_a), np.real(mode_b.state.psi_b),
         ]),
     )
-    inputs = _box_inputs("edge", params, n_a=args.n_a, m_a=args.m_a,
-                         n_b=args.n_b, m_b=args.m_b)
+    inputs = {"command": "edge", **dataclasses.asdict(params),
+              "n_a": args.n_a, "m_a": args.m_a, "n_b": args.n_b, "m_b": args.m_b}
     doc = envelope(inputs, {
         "q_a": complex_fields(mode_a.q),
         "q_b": complex_fields(mode_b.q),

@@ -34,7 +34,7 @@ from .errors import (
     ZeroCoupling,
 )
 from .finite import FiniteOperator
-from .model import FiniteParams, Grid, SpinorGrid, make_grid, validate_finite
+from .model import FiniteParams, Grid, SpinorGrid, make_grid
 
 COMPONENTS = ("A", "B")
 _ETA = {"A": -1.0, "B": 1.0}
@@ -70,7 +70,6 @@ def zero_mode_exponents(params: FiniteParams) -> tuple[complex, complex]:
     equals the per-hop factor -v0/w0. The A mode grows toward the left
     wall and the B mode toward the right wall when |w0| > |v0|.
     """
-    validate_finite(params)
     if params.v0 == 0.0 or params.w0 == 0.0:
         raise ZeroCoupling("zero-mode exponents need v0 != 0 and w0 != 0")
     rate = np.log(abs(params.w0 / params.v0)) / params.a
@@ -80,7 +79,6 @@ def zero_mode_exponents(params: FiniteParams) -> tuple[complex, complex]:
 
 def phase_label(n: int, m: int, params: FiniteParams) -> float:
     """Hard-wall phase offset (2m+1) pi/2 + n pi L / a for harmonic n."""
-    validate_finite(params)
     _check_labels(n, m, params)
     return float((2 * m + 1) * np.pi / 2.0 + n * np.pi * params.L / params.a)
 
@@ -111,7 +109,6 @@ def build_zero_mode(params: FiniteParams, component: str, labels: EdgeLabels) ->
     every grid point, which happens for the Nyquist-edge harmonic on boxes
     with integer L/a.
     """
-    validate_finite(params)
     if component not in COMPONENTS:
         raise ValidationError(f"component must be one of {COMPONENTS}, got {component!r}")
     q_a, q_b = zero_mode_exponents(params)
@@ -194,6 +191,5 @@ class LabelBudget:
 
 def count_admissible_labels(params: FiniteParams) -> LabelBudget:
     """Distinct (harmonic, phase parity) classes representable per component."""
-    validate_finite(params)
     n_max = int(np.floor(params.a / (2.0 * params.dx) + 1e-9))
     return LabelBudget(n_max=n_max, phase_parities=2, total=2 * n_max)

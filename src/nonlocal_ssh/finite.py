@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, ValidationError
-from .model import FiniteParams, Grid, SpinorGrid, make_grid, validate_finite
+from .model import FiniteParams, Grid, SpinorGrid, make_grid
 
 # relative (to |w0|) half-width of the "zero energy" window
 ZERO_TOL_DEFAULT = 1e-8
@@ -161,7 +161,6 @@ def build_finite(params: FiniteParams) -> FiniteOperator:
     hops that would leave the box are absent, which is what the vanishing
     coupling profile outside [-L/2, L/2] dictates.
     """
-    validate_finite(params)
     c = HopBlock(params.v0, params.w0, params.hop_steps, params.n_points)
     return FiniteOperator(params=params, grid=make_grid(params), c_block=c)
 
@@ -180,17 +179,19 @@ class SpectrumResult:
 
 
 class _LazyStates(Sequence):
-    """Eigenstates by level index, each built on access."""
+    """Eigenstates of the given levels, each built on access; a slice is another such view."""
 
-    def __init__(self, n: int, build: Callable[[int], SpinorGrid]):
-        self._n = n
+    def __init__(self, levels: range, build: Callable[[int], SpinorGrid]):
+        self._levels = levels
         self._build = build
 
     def __len__(self) -> int:
-        return self._n
+        return len(self._levels)
 
-    def __getitem__(self, j: int) -> SpinorGrid:
-        return self._build(range(self._n)[j])
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return _LazyStates(self._levels[j], self._build)
+        return self._build(self._levels[j])
 
 
 def _chain_block(n_cells: int, v: float, w: float) -> np.ndarray:
@@ -260,7 +261,7 @@ def spectrum(op: FiniteOperator) -> SpectrumResult:
     evals, pair = _chain_eigensystem(op)
     return SpectrumResult(
         eigenvalues=evals,
-        vectors=_LazyStates(op.dimension, lambda j: SpinorGrid(op.grid, *pair(j))),
+        vectors=_LazyStates(range(op.dimension), lambda j: SpinorGrid(op.grid, *pair(j))),
         residual_bound=_sampled_residual(op, evals, pair),
     )
 

@@ -51,29 +51,30 @@ def _require_finite(**values: float) -> None:
 
 @dataclass(frozen=True)
 class BulkParams:
-    """Couplings v, w and the non-local hop distance a (a > 0)."""
+    """Couplings v, w and the non-local hop distance a (a > 0).
+
+    Checked on construction: all finite, a > 0, and not v = w = 0.
+    """
 
     v: float
     w: float
     a: float
 
-
-def validate_bulk(params: BulkParams) -> BulkParams:
-    """Check bulk parameters; returns the input on success."""
-    _require_finite(v=params.v, w=params.w, a=params.a)
-    if params.a <= 0.0:
-        raise NonPositiveScale(f"hop distance a must be positive, got {params.a}")
-    if params.v == 0.0 and params.w == 0.0:
-        raise DegenerateCouplings("v = w = 0 gives the zero Hamiltonian")
-    return params
+    def __post_init__(self) -> None:
+        _require_finite(v=self.v, w=self.w, a=self.a)
+        if self.a <= 0.0:
+            raise NonPositiveScale(f"hop distance a must be positive, got {self.a}")
+        if self.v == 0.0 and self.w == 0.0:
+            raise DegenerateCouplings("v = w = 0 gives the zero Hamiltonian")
 
 
 @dataclass(frozen=True)
 class FiniteParams:
     """Box couplings (v0, w0), hop a, box length L, grid step dx.
 
-    a must be an integer multiple of dx (the hop connects grid points) and
-    L an integer multiple of dx; both are checked to 1e-9 relative.
+    Checked on construction: all finite, a, L and dx positive, not
+    v0 = w0 = 0, L > a, and a and L integer multiples of dx (the hop
+    connects grid points), both to 1e-9 relative.
     """
 
     v0: float
@@ -82,45 +83,37 @@ class FiniteParams:
     L: float
     dx: float
 
+    def __post_init__(self) -> None:
+        _require_finite(v0=self.v0, w0=self.w0, a=self.a, L=self.L, dx=self.dx)
+        for name in ("a", "L", "dx"):
+            if getattr(self, name) <= 0.0:
+                raise NonPositiveScale(f"{name} must be positive, got {getattr(self, name)}")
+        if self.v0 == 0.0 and self.w0 == 0.0:
+            raise DegenerateCouplings("v0 = w0 = 0 gives the zero Hamiltonian")
+        if not self.L > self.a:
+            raise ValidationError(
+                f"box length L = {self.L} must exceed the hop distance a = {self.a}"
+            )
+        for name in ("a", "L"):
+            length = getattr(self, name)
+            steps = round(length / self.dx)
+            if steps < 1 or abs(steps * self.dx - length) > COMMENSURATE_RTOL * length:
+                raise NonCommensurate(
+                    f"{name} = {length} is not an integer multiple of dx = {self.dx}"
+                )
+
     @property
     def hop_steps(self) -> int:
         """m = a/dx, the hop measured in grid steps."""
-        m = round(self.a / self.dx)
-        if m < 1 or abs(m * self.dx - self.a) > COMMENSURATE_RTOL * self.a:
-            raise NonCommensurate(
-                f"a = {self.a} is not an integer multiple of dx = {self.dx}"
-            )
-        return m
+        return round(self.a / self.dx)
 
     @property
     def n_points(self) -> int:
         """P = L/dx + 1 grid points per sublattice."""
-        steps = round(self.L / self.dx)
-        if steps < 1 or abs(steps * self.dx - self.L) > COMMENSURATE_RTOL * self.L:
-            raise NonCommensurate(
-                f"L = {self.L} is not an integer multiple of dx = {self.dx}"
-            )
-        return steps + 1
+        return round(self.L / self.dx) + 1
 
     def bulk(self) -> BulkParams:
         return BulkParams(v=self.v0, w=self.w0, a=self.a)
-
-
-def validate_finite(params: FiniteParams) -> FiniteParams:
-    """Check finite-box parameters; returns the input on success."""
-    _require_finite(v0=params.v0, w0=params.w0, a=params.a, L=params.L, dx=params.dx)
-    for name in ("a", "L", "dx"):
-        if getattr(params, name) <= 0.0:
-            raise NonPositiveScale(f"{name} must be positive, got {getattr(params, name)}")
-    if params.v0 == 0.0 and params.w0 == 0.0:
-        raise DegenerateCouplings("v0 = w0 = 0 gives the zero Hamiltonian")
-    if not params.L > params.a:
-        raise ValidationError(
-            f"box length L = {params.L} must exceed the hop distance a = {params.a}"
-        )
-    params.hop_steps
-    params.n_points
-    return params
 
 
 @dataclass(frozen=True)
@@ -136,7 +129,6 @@ class Grid:
 
 
 def make_grid(params: FiniteParams) -> Grid:
-    validate_finite(params)
     p = params.n_points
     x = -0.5 * params.L + params.dx * np.arange(p)
     return Grid(x=x, dx=params.dx)

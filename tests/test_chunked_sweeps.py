@@ -20,7 +20,7 @@ from nonlocal_ssh.errors import (
     UnsupportedOrder,
     ValidationError,
 )
-from nonlocal_ssh.model import BulkParams, _require_finite, band_sign, validate_bulk, wrap_angle
+from nonlocal_ssh.model import BulkParams, _require_finite, band_sign, wrap_angle
 
 CHUNK = bulk._K_CHUNK
 SIGNS = list(itertools.product([1.0, -1.0], repeat=2))
@@ -35,7 +35,6 @@ def _wilson_loop_phase_reference(states):
 
 
 def _zak_reference(params, band, nk):
-    validate_bulk(params)
     s = band_sign(band)
     if nk < bulk.WILSON_MIN_POINTS:
         raise ValidationError(f"nk must be >= {bulk.WILSON_MIN_POINTS}, got {nk}")
@@ -57,7 +56,6 @@ def _zak_reference(params, band, nk):
 
 
 def _berry_reference(params, order, band="plus", cutoff_k=None, nk=approx.BERRY_NK):
-    validate_bulk(params)
     band_sign(band)
     if order not in (1, 2):
         raise UnsupportedOrder(f"Berry integral implemented for orders 1 and 2, got {order}")

@@ -272,6 +272,70 @@ def test_approx_all_orders_refuses_k_range(tmp_path, capsys, flags):
     assert cli.main(["approx", *BULK, "--order", "1", *flags, "--samples", "3"]) == 0
 
 
+# The first JSON line of each subcommand, byte for byte, on the stream it
+# goes to. A line that ends at '"result": ' pins everything up to the
+# result, whose floats come from the solvers.
+EDGE = ("--v0", "0.5", "--w0", "1", "--a", "0.2", "--L", "4", "--dx", "0.0125",
+        "--n-a", "3", "--m-a", "1", "--n-b", "5", "--m-b", "2")
+BOX_ECHO = '"v0": 0.5, "w0": 1, "a": 0.20000000000000001, "L": 2, "dx": 0.050000000000000003'
+GOLDEN_JSON = {
+    "bands": (["bands", *BULK, "--samples", "5"], "err",
+              '{"inputs": {"command": "bands", "v": 0.5, "w": 1, "a": 1, '
+              '"kmin": -3.1415926535897931, "kmax": 3.1415926535897931, "samples": 5}}'),
+    "bands-range": (["bands", "--v", "-0.3", "--w", "1e-7", "--a", "0.1", "--kmin", "0",
+                     "--kmax", "1", "--samples", "3"], "err",
+                    '{"inputs": {"command": "bands", "v": -0.29999999999999999, '
+                    '"w": 9.9999999999999995e-08, "a": 0.10000000000000001, '
+                    '"kmin": 0, "kmax": 1, "samples": 3}}'),
+    "zak": (["zak", *BULK, "--method", "analytic"], "out",
+            '{"schema": 1, "inputs": {"command": "zak", "v": 0.5, "w": 1, "a": 1, '
+            '"band": "plus", "nk": 2048, "method": "analytic"}, "result": {"gamma": '
+            '3.1415926535897931, "classification": "topological", "k_points": 0}}'),
+    "zak-wilson": (["zak", *BULK, "--band", "minus", "--nk", "64"], "out",
+                   '{"schema": 1, "inputs": {"command": "zak", "v": 0.5, "w": 1, "a": 1, '
+                   '"band": "minus", "nk": 64, "method": "wilson"}, "result": '),
+    "approx": (["approx", *BULK, "--samples", "5"], "err",
+               '{"inputs": {"command": "approx", "v": 0.5, "w": 1, "a": 1, '
+               '"order": "all", "samples": 5}}'),
+    "approx-order": (["approx", *BULK, "--order", "2", "--samples", "3"], "err",
+                     '{"inputs": {"command": "approx", "v": 0.5, "w": 1, "a": 1, "order": "2", '
+                     '"samples": 3, "kmin": -3.1415926535897931, "kmax": 3.1415926535897931}}'),
+    "berry": (["berry", *BULK, "--order", "1", "--nk", "2001"], "out",
+              '{"schema": 1, "inputs": {"command": "berry", "v": 0.5, "w": 1, "a": 1, '
+              '"order": 1, "band": "plus", "cutoff_k": 10000, "nk": 2001}, "result": '),
+    "finite": (["finite", *BOX], "err",
+               '{"inputs": {"command": "finite", ' + BOX_ECHO
+               + ', "tol_zero": 1e-08, "vectors": false}}'),
+    "finite-vectors": (["finite", *BOX, "--tol-zero", "0.01", "--vectors", "--out", "levels.csv"],
+                       "err", '{"inputs": {"command": "finite", ' + BOX_ECHO
+                       + ', "tol_zero": 0.01, "vectors": true}}'),
+    "compare-ssh": (["compare-ssh", *BOX], "err",
+                    '{"schema": 1, "inputs": {"command": "compare-ssh", ' + BOX_ECHO
+                    + ', "tol_zero": 1e-08}, "result": '),
+    "compare-ssh-out": (["compare-ssh", *BOX, "--out", "cmp.csv"], "out",
+                        '{"schema": 1, "inputs": {"command": "compare-ssh", ' + BOX_ECHO
+                        + ', "tol_zero": 1e-08}, "result": '),
+    "edge": (["edge", *EDGE], "err",
+             '{"schema": 1, "inputs": {"command": "edge", "v0": 0.5, "w0": 1, '
+             '"a": 0.20000000000000001, "L": 4, "dx": 0.012500000000000001, '
+             '"n_a": 3, "m_a": 1, "n_b": 5, "m_b": 2}, "result": '),
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN_JSON)
+def test_json_lines_golden(tmp_path, monkeypatch, capsys, case):
+    argv, stream, want = GOLDEN_JSON[case]
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0
+    text = getattr(capsys.readouterr(), stream)
+    got = next(ln for ln in text.splitlines() if ln.startswith("{"))
+    if want.endswith('"result": '):
+        assert got.startswith(want)
+        json.loads(got)
+    else:
+        assert got == want
+
+
 def test_edge_camel_case_flag_aliases():
     base = ("--v0", "0.5", "--w0", "1", "--a", "0.2", "--L", "4", "--dx", "0.0125")
     r1 = run("edge", *base, "--n-a", "3", "--m-a", "1", "--n-b", "5", "--m-b", "2")

@@ -97,6 +97,27 @@ def test_spectrum_vectors_are_eigenvectors():
         assert np.linalg.norm(h @ vec - res.eigenvalues[j] * vec) < 1e-12
 
 
+def test_spectrum_vectors_slice_like_a_sequence():
+    res = spectrum(build_finite(SMALL))
+    dim = len(res.vectors)
+    levels = list(range(dim))
+    for sl in (slice(1, 3), slice(None, None, -2), slice(dim - 1, 2, -3),
+               slice(3, 1), slice(dim, None)):
+        part = res.vectors[sl]
+        want = levels[sl]
+        assert len(part) == len(want)
+        for state, j in zip(part, want):
+            assert np.array_equal(state.psi_a, res.vectors[j].psi_a)
+            assert np.array_equal(state.psi_b, res.vectors[j].psi_b)
+    assert len(res.vectors[1:3][::-1]) == 2
+    assert np.array_equal(res.vectors[1:3][-1].psi_a, res.vectors[2].psi_a)
+    for j in (dim, -dim - 1):
+        with pytest.raises(IndexError):
+            res.vectors[j]
+    with pytest.raises(IndexError):
+        res.vectors[1:3][2]
+
+
 @pytest.mark.parametrize("geometry", [
     dict(a=0.3, L=2.0, dx=0.1),  # P = 21, m = 3: one cell count
     dict(a=0.3, L=2.1, dx=0.1),  # P = 22, m = 3: cell counts 8 and 7

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,6 @@ from nonlocal_ssh.model import (
     SpinorGrid,
     band_sign,
     make_grid,
-    validate_bulk,
-    validate_finite,
     wrap_angle,
 )
 
@@ -39,15 +39,15 @@ def test_wrap_angle_half_open_branch():
 
 
 def test_bulk_validation():
-    validate_bulk(BulkParams(v=0.5, w=1.0, a=1.0))
+    BulkParams(v=0.5, w=1.0, a=1.0)
     with pytest.raises(NonPositiveScale):
-        validate_bulk(BulkParams(v=0.5, w=1.0, a=0.0))
+        BulkParams(v=0.5, w=1.0, a=0.0)
     with pytest.raises(NonPositiveScale):
-        validate_bulk(BulkParams(v=0.5, w=1.0, a=-2.0))
+        BulkParams(v=0.5, w=1.0, a=-2.0)
     with pytest.raises(DegenerateCouplings):
-        validate_bulk(BulkParams(v=0.0, w=0.0, a=1.0))
+        BulkParams(v=0.0, w=0.0, a=1.0)
     with pytest.raises(ValidationError):
-        validate_bulk(BulkParams(v=np.nan, w=1.0, a=1.0))
+        BulkParams(v=np.nan, w=1.0, a=1.0)
 
 
 def test_finite_grid_derivation():
@@ -60,18 +60,40 @@ def test_finite_grid_derivation():
 
 def test_finite_validation():
     with pytest.raises(NonCommensurate):
-        FiniteParams(v0=0.5, w0=1.0, a=1.0, L=10.0, dx=0.3).hop_steps
+        FiniteParams(v0=0.5, w0=1.0, a=1.0, L=10.0, dx=0.3)
     with pytest.raises(NonPositiveScale):
-        validate_finite(FiniteParams(v0=0.5, w0=1.0, a=1.0, L=10.0, dx=-0.1))
+        FiniteParams(v0=0.5, w0=1.0, a=1.0, L=10.0, dx=-0.1)
     with pytest.raises(NonPositiveScale):
-        validate_finite(FiniteParams(v0=0.5, w0=1.0, a=1.0, L=0.0, dx=0.1))
+        FiniteParams(v0=0.5, w0=1.0, a=1.0, L=0.0, dx=0.1)
     # box must hold at least one hop
     with pytest.raises(ValidationError):
-        validate_finite(FiniteParams(v0=0.5, w0=1.0, a=2.0, L=1.0, dx=0.5))
+        FiniteParams(v0=0.5, w0=1.0, a=2.0, L=1.0, dx=0.5)
     # the zero Hamiltonian: every level is 0, no midgap count means anything
     with pytest.raises(DegenerateCouplings):
-        validate_finite(FiniteParams(v0=0.0, w0=0.0, a=0.2, L=1.0, dx=0.1))
-    validate_finite(FiniteParams(v0=0.0, w0=1.0, a=0.2, L=1.0, dx=0.1))
+        FiniteParams(v0=0.0, w0=0.0, a=0.2, L=1.0, dx=0.1)
+    FiniteParams(v0=0.0, w0=1.0, a=0.2, L=1.0, dx=0.1)
+
+
+def test_no_invalid_record_from_a_valid_one():
+    bulk = BulkParams(v=0.5, w=1.0, a=1.0)
+    with pytest.raises(NonPositiveScale, match="hop distance a must be positive, got 0.0"):
+        dataclasses.replace(bulk, a=0.0)
+    with pytest.raises(DegenerateCouplings):
+        dataclasses.replace(bulk, v=0.0, w=0.0)
+    with pytest.raises(ValidationError, match="v must be finite"):
+        dataclasses.replace(bulk, v=np.inf)
+    box = FiniteParams(v0=0.5, w0=1.0, a=0.2, L=1.0, dx=0.1)
+    with pytest.raises(NonCommensurate, match="a = 0.2 is not an integer multiple of dx = 0.03"):
+        dataclasses.replace(box, dx=0.03)
+    with pytest.raises(NonCommensurate, match="L = 1.05 is not an integer multiple of dx = 0.1"):
+        dataclasses.replace(box, L=1.05)
+    with pytest.raises(NonPositiveScale):
+        dataclasses.replace(box, dx=-0.1)
+    with pytest.raises(DegenerateCouplings):
+        dataclasses.replace(box, v0=0.0, w0=0.0)
+    # every accepted box, the v0 = 0 one included, has a valid bulk record
+    for ok in (box, dataclasses.replace(box, v0=0.0), dataclasses.replace(box, w0=-3.0)):
+        assert ok.bulk() == BulkParams(v=ok.v0, w=ok.w0, a=ok.a)
 
 
 def test_grid_is_symmetric():
