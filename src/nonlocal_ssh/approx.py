@@ -14,10 +14,10 @@ truncations, so their Berry integral is taken over (-inf, inf).
 
 Because |u_B| = 1 in this gauge, the Berry connection reduces to
 i<u|du/dk> = -(1/2) d(arg z)/dk and the integral is -(1/2) times the total
-winding of arg z(k). That winding is computed by unwrapping sampled phases
-on [-K, K] and adding the exact residual arcs from +-K to the asymptotic
-directions of z (the curve crosses no axis beyond the cutoff, so the
-residual arc is shorter than pi and the wrap is exact).
+winding of arg z(k). That winding is computed by counting the 2 pi wraps
+of sampled phases on [-K, K] and adding the exact residual arcs from +-K
+to the asymptotic directions of z (the curve crosses no axis beyond the
+cutoff, so the residual arc is shorter than pi and the wrap is exact).
 
 Closed forms this reproduces: order 1 gives -(pi/2) sgn(a w (v+w)) for all
 gapped parameters; order 2 gives -pi when the parabola traced by z encloses
@@ -118,29 +118,6 @@ def _asymptote_angles(params: BulkParams, order: int) -> tuple[float, float]:
     return (0.0, 0.0)
 
 
-def _unwrap_chunk(p: np.ndarray, carry):
-    """One chunk of np.unwrap over a phase array too long to hold at once.
-
-    carry is None for the first chunk, else the previous chunk's last
-    phase and the sum of all corrections so far; returns the unwrapped
-    chunk and the carry for the next one. The steps follow np.unwrap's
-    own, and the running sum is folded into the chunk's first correction,
-    so every sum is formed in the order of one np.unwrap over the whole
-    array and the bits agree.
-    """
-    dd = np.diff(p) if carry is None else np.diff(p, prepend=carry[0])
-    ddmod = np.mod(dd + np.pi, 2.0 * np.pi) - np.pi
-    np.copyto(ddmod, np.pi, where=(ddmod == -np.pi) & (dd > 0))
-    correct = ddmod - dd
-    np.copyto(correct, 0.0, where=np.abs(dd) < np.pi)
-    if carry is not None:
-        correct[0] += carry[1]
-    np.cumsum(correct, out=correct)
-    theta = p.copy()
-    theta[p.size - correct.size:] += correct
-    return theta, (p[-1], correct[-1])
-
-
 def berry_integral(
     params: BulkParams,
     order: int,
@@ -150,21 +127,28 @@ def berry_integral(
 ) -> BerryIntegralResult:
     """Berry integral of the order-n truncation, n in {1, 2}.
 
-    Computed as -(1/2) times the winding of arg z(k): unwrap on [-K, K],
-    then add the exact arcs between z(+-K) and the asymptotic directions.
-    Both bands give the same value (the +-1 in u_B cancels in <u|du>); the
-    band argument is validated and otherwise unused.
+    Computed as -(1/2) times the winding of arg z(k): count the 2 pi wraps
+    of the sampled phase on [-K, K], then add the exact arcs between z(+-K)
+    and the asymptotic directions. Both bands give the same value (the +-1
+    in u_B cancels in <u|du>); the band argument is validated and otherwise
+    unused.
 
     cutoff_k defaults to 1e4/a; a NaN or infinite one is a ValidationError.
     It must be at least 100/a, and for order 2 it must also clear the
     axis-crossing scale sqrt(2(v+w)/w)/a, otherwise CutoffTooSmall is raised.
+    For order 2 the spacing a*2K/(nk-1) must stay below max(1, sqrt(2(v+w)/w))
+    too (ValidationError): a coarser grid can step over the whole turn of
+    z(k) near k = 0 with every phase step small.
 
-    The k grid is swept in chunks of _K_CHUNK samples with the unwrap
-    carried across, so memory does not grow with nk and the result has the
-    bits of one pass over the whole grid. The refusals come out as from
-    one pass too: z(k) can come near zero only at the sample nearest
-    k = 0, and when it does, a phase step above pi/2 must start or end on
-    that sample, so the gap closure is found first.
+    The grid np.linspace(-K, K, nk) is swept in chunks of _K_CHUNK samples.
+    Each phase step splits into an integer wrap count rint(step/2pi) and a
+    remainder, which must stay within pi/2 (else ConvergenceFailure). The
+    running wrap count is exact, so the result does not depend on the chunk
+    size, and memory does not grow with nk. z(k) can come near zero only at
+    the sample nearest k = 0, and a step above pi/2 then starts or ends on
+    that sample, so the gap closure is found first, as in one pass.
+    quadrature_error is the rounding floor 4 max|theta| eps of the unwrapped
+    phase theta.
     """
     band_sign(band)
     if order not in (1, 2):
@@ -175,23 +159,26 @@ def berry_integral(
     _require_finite(cutoff_k=cutoff_k)
     if cutoff_k * a < BERRY_MIN_CUTOFF:
         raise CutoffTooSmall(f"cutoff_k must be >= {BERRY_MIN_CUTOFF}/a")
+    if nk < 1001:
+        raise ValidationError(f"nk must be >= 1001, got {nk}")
+    lo, step = -cutoff_k, (cutoff_k - -cutoff_k) / (nk - 1)
     if order == 2 and w != 0.0:
         crossing = np.sqrt(max(2.0 * (v + w) / w, 0.0))  # |ak| where Re z = 0
         if cutoff_k * a < 10.0 * max(1.0, crossing):
             raise CutoffTooSmall(
                 "cutoff_k too close to the axis-crossing scale sqrt(2(v+w)/w)/a"
             )
-    if nk < 1001:
-        raise ValidationError(f"nk must be >= 1001, got {nk}")
+        if a * step >= max(1.0, crossing):
+            raise ValidationError(
+                f"k spacing a*2K/(nk-1) = {a * step:g} can skip the winding near k = 0; "
+                "raise nk or lower cutoff_k"
+            )
     if w == 0.0:
         # z(k) = v is constant: no winding
         return BerryIntegralResult(value=0.0, cutoff_k=float(cutoff_k), quadrature_error=0.0)
 
-    # np.linspace(-cutoff_k, cutoff_k, nk) and np.unwrap, one chunk at a time
     gap_tol = GAP_ABS_TOL * (abs(v) + abs(w))
-    lo, step = -cutoff_k, (cutoff_k - -cutoff_k) / (nk - 1)
-    fine = coarse = None  # unwrap carries of theta and of its even samples
-    max_abs = 0.0
+    wraps = 0  # 2 pi wraps of the phase so far
     for start in range(0, nk, _K_CHUNK):
         stop = min(start + _K_CHUNK, nk)
         ks = np.arange(start, stop, dtype=float) * step + lo
@@ -200,28 +187,27 @@ def berry_integral(
         z = _b_numerator(params, order, ks)
         if np.min(np.abs(z)) < gap_tol:
             raise GapClosure("truncated bands touch zero inside the cutoff")
-        theta, fine = _unwrap_chunk(np.angle(z), fine)
+        p = np.angle(z)
         if start:
-            steps = np.diff(theta, prepend=theta_last)
+            dd = np.diff(p, prepend=p_last)
         else:
-            steps = np.diff(theta)
-            z_first, theta_first = z[0], theta[0]
-        if np.abs(steps).max() > 0.5 * np.pi:
+            dd = np.diff(p)
+            p_first = p[0]
+            max_abs = abs(p_first)
+        turns = np.rint(dd / (2.0 * np.pi))
+        if np.abs(dd - 2.0 * np.pi * turns).max() > 0.5 * np.pi:
             raise ConvergenceFailure("k sampling too coarse to track the phase winding")
-        theta_last = theta[-1]
+        np.cumsum(turns, out=turns)
+        turns += wraps
+        theta = p[p.size - turns.size:] - 2.0 * np.pi * turns
         max_abs = max(max_abs, np.abs(theta).max())
-        # resolution estimate: the same unwrap on every other sample
-        theta_c, coarse = _unwrap_chunk(theta[::2], coarse)
+        p_last, wraps = p[-1], int(turns[-1])
 
     th_plus, th_minus = _asymptote_angles(params, order)
-    tail_plus = wrap_angle(th_plus - float(np.angle(z[-1])))
-    tail_minus = wrap_angle(float(np.angle(z_first)) - th_minus)
-    total = (theta_last - theta_first) + tail_plus + tail_minus
-    value = -0.5 * total
-    value_c = -0.5 * ((theta_c[-1] - theta_first) + tail_plus + tail_minus)
-    err = abs(value - value_c) + 4.0 * max_abs * np.finfo(float).eps
-    if err > 1e-3 * max(1.0, abs(value)):
-        raise ConvergenceFailure(f"winding error estimate {err:g} out of bounds")
+    tail_plus = wrap_angle(th_plus - float(p_last))
+    tail_minus = wrap_angle(float(p_first) - th_minus)
+    value = -0.5 * ((p_last - 2.0 * np.pi * wraps - p_first) + tail_plus + tail_minus)
+    err = 4.0 * max_abs * np.finfo(float).eps
     return BerryIntegralResult(value=float(value), cutoff_k=float(cutoff_k), quadrature_error=float(err))
 
 

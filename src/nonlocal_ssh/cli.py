@@ -13,7 +13,8 @@ stdout and the JSON to stderr. Reruns with identical inputs are
 byte-identical on every primary stream; elapsed time is reported only on
 stderr.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 validation error, 3 numerical failure, I/O
+failure or exhausted memory.
 """
 
 from __future__ import annotations
@@ -369,6 +370,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 3
     print(f"[nonlocal-ssh] {args.command} finished in {time.monotonic() - t0:.3f} s",
           file=sys.stderr)

@@ -10,14 +10,13 @@ a repeated run produces byte-identical output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import IO, Any
 
 import numpy as np
 
 from .errors import SerializationError, ValidationError
-
-CONFIG_KEYS = ("v", "w", "a", "v0", "w0", "L", "dx")
+from .model import BulkParams, FiniteParams
 
 SCHEMA_VERSION = 1
 
@@ -114,10 +113,11 @@ def envelope(inputs: dict, result: dict) -> dict:
 
 
 def load_config(path: str) -> dict[str, float]:
-    """Flat key = value parameter file; keys limited to v, w, a, v0, w0, L, dx.
+    """Flat key = value parameter file; keys are the fields of BulkParams and FiniteParams.
 
     Blank lines and lines starting with '#' are ignored.
     """
+    allowed = dict.fromkeys(f.name for cls in (BulkParams, FiniteParams) for f in fields(cls))
     out: dict[str, float] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -132,9 +132,9 @@ def load_config(path: str) -> dict[str, float]:
             raise ValidationError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in CONFIG_KEYS:
+        if key not in allowed:
             raise ValidationError(
-                f"{path}:{lineno}: unknown key {key!r} (allowed: {', '.join(CONFIG_KEYS)})"
+                f"{path}:{lineno}: unknown key {key!r} (allowed: {', '.join(allowed)})"
             )
         try:
             out[key] = float(val.strip())

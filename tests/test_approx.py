@@ -18,6 +18,7 @@ from nonlocal_ssh.bulk import energy_bands
 from nonlocal_ssh.errors import (
     CutoffTooSmall,
     GapClosure,
+    ModelError,
     UnsupportedOrder,
     ValidationError,
 )
@@ -177,6 +178,31 @@ def test_berry_second_order_encircling_property(p, band):
     assert berry_integral(p, 2, band=band).value == pytest.approx(want, abs=1e-6)
 
 
+@st.composite
+def _second_order_grids(draw):
+    # any signs; cutoff*a log-uniform in 1e2..1e9 and nk in 1001..1e6, so
+    # many grids are far too coarse for the turn of z(k) near k = 0
+    sv, sw = draw(st.sampled_from([1.0, -1.0])), draw(st.sampled_from([1.0, -1.0]))
+    p = BulkParams(v=sv * draw(st.floats(0.1, 10.0)), w=sw * draw(st.floats(0.1, 10.0)),
+                   a=draw(st.floats(0.1, 5.0)))
+    cutoff_k = 10.0 ** draw(st.floats(2.0, 9.0)) / p.a
+    nk = max(1001, round(10.0 ** draw(st.floats(3.0, 6.0))))
+    return p, cutoff_k, nk
+
+
+@settings(max_examples=50, deadline=None)
+@given(_second_order_grids())
+def test_berry_second_order_answers_are_right(grid):
+    # a grid may be refused, but an answer must be the closed form
+    p, cutoff_k, nk = grid
+    try:
+        got = berry_integral(p, 2, cutoff_k=cutoff_k, nk=nk).value
+    except ModelError:
+        return
+    want = -np.pi if p.w * (p.v + p.w) > 0 else 0.0
+    assert got == pytest.approx(want, abs=1e-3)
+
+
 def test_berry_gauge_dependence_of_open_line_integral():
     # discrete line integral of the connection over [-K, K]; a k-dependent
     # phase twist alpha(k) shifts it by -(alpha(K) - alpha(-K)), so unlike
@@ -213,6 +239,12 @@ def test_berry_validation():
             berry_integral(P, order, cutoff_k=cutoff_k)
     with pytest.raises(ValidationError):
         berry_integral(P, 1, nk=999)
+    # order 2: a spacing a*2K/(nk-1) of at least max(1, sqrt(2(v+w)/w)) can
+    # step over the whole turn near k = 0, so it is refused before sampling
+    with pytest.raises(ValidationError, match="k spacing"):
+        berry_integral(P, 2, cutoff_k=np.sqrt(3.0) * 1000.0, nk=2001)
+    with pytest.raises(ValidationError, match="k spacing"):
+        berry_integral(P, 2, cutoff_k=1e7, nk=196608)
     with pytest.raises(GapClosure):
         berry_integral(BulkParams(v=1.0, w=-1.0, a=1.0), 1)
     assert berry_integral(P, 1).cutoff_k == pytest.approx(BERRY_DEFAULT_CUTOFF / P.a)

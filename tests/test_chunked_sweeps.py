@@ -1,9 +1,10 @@
 """The Zak Wilson loop and the Berry winding swept in chunks of k samples.
 
 Both sweeps run over their k grid in chunks of a fixed size so that memory
-does not grow with nk. The references below are the one-pass versions they
-replaced, which hold every array at full length; the chunked results must
-equal them bit for bit, refusals included.
+does not grow with nk. The references below are one-pass versions, which
+hold every array at full length; the chunked results must equal them bit
+for bit, refusals included. The Berry winding also has a second reference,
+the earlier np.unwrap formula, which it must match to rounding.
 """
 
 import itertools
@@ -55,7 +56,12 @@ def _zak_reference(params, band, nk):
     return bulk.ZakResult(value=gamma, classification=cls, k_points=nk)
 
 
-def _berry_reference(params, order, band="plus", cutoff_k=None, nk=approx.BERRY_NK):
+def _berry_checks(params, order, band, cutoff_k, nk):
+    """The refusals both formulas make before sampling.
+
+    Returns the cutoff and, for order 2 with w != 0, the axis-crossing
+    scale max(1, sqrt(2(v+w)/w)) (else None).
+    """
     band_sign(band)
     if order not in (1, 2):
         raise UnsupportedOrder(f"Berry integral implemented for orders 1 and 2, got {order}")
@@ -65,14 +71,51 @@ def _berry_reference(params, order, band="plus", cutoff_k=None, nk=approx.BERRY_
     _require_finite(cutoff_k=cutoff_k)
     if cutoff_k * a < approx.BERRY_MIN_CUTOFF:
         raise CutoffTooSmall(f"cutoff_k must be >= {approx.BERRY_MIN_CUTOFF}/a")
-    if order == 2 and w != 0.0:
-        crossing = np.sqrt(max(2.0 * (v + w) / w, 0.0))
-        if cutoff_k * a < 10.0 * max(1.0, crossing):
-            raise CutoffTooSmall(
-                "cutoff_k too close to the axis-crossing scale sqrt(2(v+w)/w)/a"
-            )
     if nk < 1001:
         raise ValidationError(f"nk must be >= 1001, got {nk}")
+    if order != 2 or w == 0.0:
+        return cutoff_k, None
+    scale = max(1.0, np.sqrt(max(2.0 * (v + w) / w, 0.0)))
+    if cutoff_k * a < 10.0 * scale:
+        raise CutoffTooSmall("cutoff_k too close to the axis-crossing scale sqrt(2(v+w)/w)/a")
+    return cutoff_k, scale
+
+
+def _berry_reference(params, order, band="plus", cutoff_k=None, nk=approx.BERRY_NK):
+    """One pass over np.linspace: the phase steps split into integer wraps."""
+    cutoff_k, scale = _berry_checks(params, order, band, cutoff_k, nk)
+    h = (cutoff_k - -cutoff_k) / (nk - 1)
+    if scale is not None and params.a * h >= scale:
+        raise ValidationError(
+            f"k spacing a*2K/(nk-1) = {params.a * h:g} can skip the winding near k = 0; "
+            "raise nk or lower cutoff_k"
+        )
+    v, w = params.v, params.w
+    if w == 0.0:
+        return approx.BerryIntegralResult(value=0.0, cutoff_k=float(cutoff_k), quadrature_error=0.0)
+    z = approx._b_numerator(params, order, np.linspace(-cutoff_k, cutoff_k, nk))
+    if np.min(np.abs(z)) < bulk.GAP_ABS_TOL * (abs(v) + abs(w)):
+        raise GapClosure("truncated bands touch zero inside the cutoff")
+    p = np.angle(z)
+    dd = np.diff(p)
+    wraps = np.rint(dd / (2.0 * np.pi))
+    if np.abs(dd - 2.0 * np.pi * wraps).max() > 0.5 * np.pi:
+        raise ConvergenceFailure("k sampling too coarse to track the phase winding")
+    theta = p - 2.0 * np.pi * np.concatenate([[0.0], np.cumsum(wraps)])
+    th_plus, th_minus = approx._asymptote_angles(params, order)
+    tail_plus = wrap_angle(th_plus - float(p[-1]))
+    tail_minus = wrap_angle(float(p[0]) - th_minus)
+    value = -0.5 * ((theta[-1] - p[0]) + tail_plus + tail_minus)
+    err = 4.0 * np.abs(theta).max() * np.finfo(float).eps
+    return approx.BerryIntegralResult(value=float(value), cutoff_k=float(cutoff_k),
+                                      quadrature_error=float(err))
+
+
+def _berry_unwrap_reference(params, order, band="plus", cutoff_k=None, nk=approx.BERRY_NK):
+    """The earlier formula: np.unwrap over the whole grid, without the spacing
+    refusal, and an error estimate from a half-resolution unwrap."""
+    cutoff_k, _ = _berry_checks(params, order, band, cutoff_k, nk)
+    v, w = params.v, params.w
     if w == 0.0:
         return approx.BerryIntegralResult(value=0.0, cutoff_k=float(cutoff_k), quadrature_error=0.0)
     ks = np.linspace(-cutoff_k, cutoff_k, nk)
@@ -143,11 +186,17 @@ def test_small_chunks_match_one_pass(monkeypatch, chunk):
         for order in (1, 2):
             _same(_outcome(approx.berry_integral, p, order, nk=nk),
                   _outcome(_berry_reference, p, order, nk=nk))
-    # a coarse grid whose phase steps exceed pi/2 across chunk boundaries
-    p = BulkParams(v=0.5, w=1.0, a=1.0)
-    for order, cutoff_k, nk in ((1, 1e9, 1001), (2, 1e7, 1001), (2, 1e7, 3 * 1000)):
-        _same(_outcome(approx.berry_integral, p, order, cutoff_k=cutoff_k, nk=nk),
-              _outcome(_berry_reference, p, order, cutoff_k=cutoff_k, nk=nk))
+    # coarse grids: phase steps just under pi/2 at every chunk boundary, steps
+    # above pi/2 in a later chunk, and a spacing that skips the order-2 turn
+    for p, order, cutoff_k, nk, kind in (
+        (BulkParams(v=0.5, w=1.0, a=1.0), 1, 1e9, 1001, "answer"),
+        (BulkParams(v=-0.9, w=1.0, a=1.0), 2, 400.0, 1001, "ConvergenceFailure"),
+        (BulkParams(v=-0.9, w=1.0, a=1.0), 2, 1200.0, 3 * 1000, "ConvergenceFailure"),
+        (BulkParams(v=0.5, w=1.0, a=1.0), 2, 1e7, 3 * 1000, "ValidationError"),
+    ):
+        got = _outcome(approx.berry_integral, p, order, cutoff_k=cutoff_k, nk=nk)
+        assert (got[0] if isinstance(got[0], str) else "answer") == kind
+        _same(got, _outcome(_berry_reference, p, order, cutoff_k=cutoff_k, nk=nk))
 
 
 @pytest.mark.parametrize("v, w, nk, message", [
@@ -192,20 +241,6 @@ def test_berry_chunks_sample_np_linspace(monkeypatch, cutoff_k, nk):
         assert np.concatenate(seen).tobytes() == np.linspace(-cutoff_k, cutoff_k, nk).tobytes()
 
 
-def test_unwrap_chunks_match_np_unwrap():
-    # a random walk of phases wraps thousands of times; each correction is
-    # 2 pi only to rounding, so the running sum's bits depend on the order
-    # in which the corrections are added
-    p = np.angle(np.exp(1j * np.cumsum(RNG.uniform(-3.0, 3.0, 20_000))))
-    cuts_list = ([], [2], [2, 3], sorted(RNG.choice(np.arange(2, 20_000), 40, replace=False)))
-    for cuts in cuts_list:
-        parts, carry = [], None
-        for piece in np.split(p, cuts):
-            theta, carry = approx._unwrap_chunk(piece, carry)
-            parts.append(theta)
-        assert np.concatenate(parts).tobytes() == np.unwrap(p).tobytes()
-
-
 def test_overlap_product_chains_bit_for_bit():
     states = RNG.normal(size=(5001, 2)) + 1j * RNG.normal(size=(5001, 2))
     states /= np.linalg.norm(states, axis=1)[:, None]
@@ -229,22 +264,41 @@ def test_wilson_loop_phase_matches_one_pass():
         bulk.wilson_loop_phase(up)
 
 
-def test_berry_error_is_rounding_floor_or_half_last_step():
-    # steps <= pi/2 leave the half-resolution unwrap with nothing to correct,
-    # so for odd nk it ends on the last sample and the estimate is the
-    # rounding floor 4 max|theta| eps; for even nk it stops one sample short
-    # and adds half the last phase step
+def test_berry_error_is_rounding_floor():
+    # 4 max|theta| eps for odd and even nk alike; np.unwrap gives the same
+    # theta up to the rounding of its 2 pi corrections
     p = BulkParams(v=0.5, w=1.0, a=1.0)
     for order in (1, 2):
         for nk in (CHUNK + 1, CHUNK):
+            err = approx.berry_integral(p, order, nk=nk).quadrature_error
+            assert err == _berry_reference(p, order, nk=nk).quadrature_error
             ks = np.linspace(-1e4, 1e4, nk)
             theta = np.unwrap(np.angle(approx._b_numerator(p, order, ks)))
-            floor = 4.0 * np.abs(theta).max() * np.finfo(float).eps
-            err = approx.berry_integral(p, order, nk=nk).quadrature_error
-            if nk % 2:
-                assert err == floor
+            assert err == pytest.approx(4.0 * np.abs(theta).max() * np.finfo(float).eps, rel=1e-12)
+
+
+def test_berry_matches_np_unwrap_formula():
+    # values to rounding, and the same refusals except the spacing check,
+    # which only the wrap count makes
+    cases = [(p, order, nk, cutoff_k)
+             for p in (_random_bulk(sv, sw) for sv, sw in SIGNS for _ in range(3))
+             for order in (1, 2)
+             for nk in (1001, 1002, 4096, CHUNK + 1)
+             for cutoff_k in (None, 1e3 / p.a, 1e6 / p.a)]
+    answered = spacing = 0
+    for p, order, nk, cutoff_k in cases:
+        got = _outcome(approx.berry_integral, p, order, cutoff_k=cutoff_k, nk=nk)
+        want = _outcome(_berry_unwrap_reference, p, order, cutoff_k=cutoff_k, nk=nk)
+        if isinstance(got[0], str):
+            if "k spacing" in got[1]:
+                spacing += 1
             else:
-                assert err == pytest.approx(floor + 0.5 * abs(theta[-1] - theta[-2]), rel=1e-6)
+                assert got == want
+        else:
+            answered += 1
+            assert isinstance(want[0], float) and abs(got[0] - want[0]) <= 1e-14
+            assert got[1] == want[1]
+    assert answered > 100 and spacing > 0
 
 
 def _peak_mb(fn):

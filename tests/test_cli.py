@@ -257,6 +257,34 @@ def test_bulk_ranges_refused(capsys, argv, message):
     assert out == "" and message in err
 
 
+def test_berry_spacing_refused(tmp_path, capsys):
+    # the two samples nearest k = 0 sit at ak = +-51 and skip the whole turn
+    # of z(k): refused before sampling instead of answering 0
+    argv = ["berry", *BULK, "--order", "2", "--cutoff-k", "1e7", "--nk", "196608"]
+    out = tmp_path / "old.json"
+    out.write_bytes(b"earlier result\n")
+    for extra in ([], ["--out", str(out)]):
+        assert cli.main(argv + extra) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and "k spacing" in err
+    assert out.read_bytes() == b"earlier result\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["old.json"]
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 763. MiB for an array"),
+     "out of memory: Unable to allocate 763. MiB for an array\n"),
+    (MemoryError(), "out of memory: allocation failed\n"),
+], ids=["message", "bare"])
+def test_memory_error_exit_code(monkeypatch, capsys, exc, line):
+    def exhausted(params, k):
+        raise exc
+
+    monkeypatch.setattr(bulk, "energy_bands", exhausted)
+    assert cli.main(["bands", *BULK, "--samples", "5"]) == 3
+    assert capsys.readouterr() == ("", line)
+
+
 @pytest.mark.parametrize("flags", [("--kmin", "0", "--kmax", "1"), ("--kmin", "0"), ("--kmax", "1")])
 def test_approx_all_orders_refuses_k_range(tmp_path, capsys, flags):
     # the all-orders table always spans one zone of ka; a k range would be ignored

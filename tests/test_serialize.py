@@ -160,3 +160,14 @@ def test_load_config_rejects_garbage(tmp_path):
         load_config(str(bad_line))
     with pytest.raises(ValidationError):
         load_config(str(tmp_path / "missing.cfg"))
+
+
+def test_load_config_keys_are_the_record_fields(tmp_path):
+    # BulkParams then FiniteParams fields, in order, each name once
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("v0 = 1\nL = 2\ndx = 0.5\n\nvolume = 3\n")
+    with pytest.raises(ValidationError) as info:
+        load_config(str(cfg))
+    assert str(info.value) == f"{cfg}:5: unknown key 'volume' (allowed: v, w, a, v0, w0, L, dx)"
+    cfg.write_text("v = 1\nw = 2\na = 3\nv0 = 4\nw0 = 5\nL = 6\ndx = 7\n")
+    assert load_config(str(cfg)) == {"v": 1, "w": 2, "a": 3, "v0": 4, "w0": 5, "L": 6, "dx": 7}
