@@ -30,6 +30,7 @@ from .errors import (
     DegenerateLabel,
     InsufficientPeaks,
     NonCommensurateBox,
+    NumericalError,
     ValidationError,
     ZeroCoupling,
 )
@@ -107,7 +108,8 @@ def build_zero_mode(params: FiniteParams, component: str, labels: EdgeLabels) ->
 
     Raises DegenerateLabel when the sampled oscillatory factor vanishes at
     every grid point, which happens for the Nyquist-edge harmonic on boxes
-    with integer L/a.
+    with integer L/a, and NumericalError when the mode's norm before
+    normalization overflows float64 (ln|w0/v0|*L/a above about 700).
     """
     if component not in COMPONENTS:
         raise ValidationError(f"component must be one of {COMPONENTS}, got {component!r}")
@@ -120,8 +122,16 @@ def build_zero_mode(params: FiniteParams, component: str, labels: EdgeLabels) ->
         raise DegenerateLabel(
             f"harmonic n = {labels.n} vanishes at every grid point of this box"
         )
-    psi = osc * np.exp(q * grid.x)
-    psi = psi / np.linalg.norm(psi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = osc * np.exp(q * grid.x)
+        nrm = np.linalg.norm(psi)
+    if not (np.isfinite(nrm) and nrm > 0.0):
+        growth = np.log(abs(params.w0 / params.v0)) * params.L / params.a
+        raise NumericalError(
+            f"the unnormalized {component} mode overflows float64: "
+            f"ln|w0/v0|*L/a = {growth:.6g} is too large"
+        )
+    psi = psi / nrm
     zero = np.zeros_like(psi)
     if component == "A":
         state = SpinorGrid(grid=grid, psi_a=psi, psi_b=zero)

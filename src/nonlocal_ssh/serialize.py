@@ -5,6 +5,15 @@ NaN or infinities abort serialization instead of leaking into output; a
 CSV table is checked whole before its first byte is written.
 Field order is fixed by the caller (insertion order for JSON objects), so
 a repeated run produces byte-identical output.
+
+Every float field is the string "%.17g" % x. JSON scalars get it from
+format_float, the one per-value formatter. CSV tables get it from the
+numpy kernel in _csv, chunk by chunk of _CSV_CHUNK_VALUES values: it
+scales each |x| to a 17-digit integer in double-double arithmetic, lays
+out sign, digits, point and exponent by the %g rules, and hands the
+values it cannot round with certainty (zeros, |x| outside
+[1e-250, 1e250), possible decimal ties) to format_float. The kernel
+module and its tables load with the first table written.
 """
 
 from __future__ import annotations
@@ -20,8 +29,8 @@ from .model import BulkParams, FiniteParams
 
 SCHEMA_VERSION = 1
 
-# values per %-format call in emit_csv: bounds the transient tuple and string
-_CSV_CHUNK_VALUES = 1 << 16
+# values per CSV kernel call: keeps its transient arrays at a few MB
+_CSV_CHUNK_VALUES = 1 << 14
 
 
 def format_float(x: float) -> str:
@@ -51,20 +60,22 @@ def emit_csv(table: Table, stream: IO[str]) -> None:
     """Header plus one line per row, newline-terminated, no trailing padding.
 
     Raises SerializationError on the first non-finite value, before any
-    byte is written. Rows go out in chunks, each one %-format of a repeated
-    row template; "%.17g" % x is the same string as format_float(x).
+    byte is written. Each field is byte for byte format_float's string.
     """
     rows = table.rows
     finite = np.isfinite(rows)
     if not finite.all():
         raise SerializationError(f"non-finite value {float(rows[~finite][0])!r} in output")
-    ncols = rows.shape[1]
-    template = ",".join(["%.17g"] * ncols) + "\n"
-    step = max(1, _CSV_CHUNK_VALUES // max(1, ncols))
+    nrows, ncols = rows.shape
     stream.write(",".join(table.columns) + "\n")
-    for start in range(0, rows.shape[0], step):
-        chunk = rows[start : start + step]
-        stream.write(template * len(chunk) % tuple(chunk.ravel().tolist()))
+    if ncols == 0:
+        stream.write("\n" * nrows)
+        return
+    from . import _csv  # deferred to the first table: its import builds the tables
+
+    step = max(1, _CSV_CHUNK_VALUES // ncols)
+    for start in range(0, nrows, step):
+        stream.write(_csv.rows_text(rows[start : start + step]).decode("ascii"))
 
 
 def _json_scalar(value: Any) -> str:

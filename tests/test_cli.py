@@ -171,6 +171,25 @@ def test_edge_outputs():
     assert doc["result"]["residual"] < 1e-3
 
 
+@pytest.mark.parametrize("L, growth", [(150, "1039.72"), (300, "2079.44")],
+                         ids=["norm-overflows", "exp-overflows"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+def test_edge_overflowing_mode_refused(tmp_path, L, growth, to_file):
+    # ln|w0/v0| * L/a well above 700: the mode cannot be normalized in float64
+    out = tmp_path / "modes.csv"
+    out.write_bytes(b"earlier result\n")
+    r = run("edge", "--v0", "0.5", "--w0", "1", "--a", "0.1", "--L", str(L), "--dx", "0.01",
+            "--n-a", "1", "--n-b", "1", *(("--out", str(out)) if to_file else ()))
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == [
+        f"numerical failure: the unnormalized A mode overflows float64: "
+        f"ln|w0/v0|*L/a = {growth} is too large"
+    ]
+    assert out.read_bytes() == b"earlier result\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["modes.csv"]
+
+
 def test_config_file_and_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("v = 0.5\nw = 1.0\na = 1.0\n")

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonlocal_ssh.errors import SerializationError, ValidationError
 from nonlocal_ssh.serialize import (
@@ -42,7 +44,7 @@ def test_emit_csv():
 
 
 def _reference_csv(table):
-    # one format_float call per value: the emitter the chunked one replaced
+    # one format_float call per value: what the CSV kernel must match byte for byte
     lines = [",".join(table.columns)]
     lines += [",".join(format_float(x) for x in row) for row in table.rows]
     return "\n".join(lines) + "\n"
@@ -83,6 +85,58 @@ def test_emit_csv_matches_per_value_reference(ncols, shape):
     assert buf.getvalue().count("\n") == nrows + 1
 
 
+def _from_bits(bits):
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+def _nudged(x, ulps):
+    # ulps steps from positive x through its bit pattern, stopping at zero
+    return float(np.maximum(np.array([x]).view(np.int64) + ulps, 0).view(np.float64)[0])
+
+
+_CSV_VALUES = st.one_of(
+    # any finite binary64: sign, biased exponent below 2047, mantissa
+    st.builds(lambda sign, exp, man: _from_bits(sign << 63 | exp << 52 | man),
+              st.integers(0, 1), st.integers(0, 2046), st.integers(0, 2**52 - 1)),
+    # next to a power of ten, where floor(log10|x|) can be one off
+    st.builds(lambda k, ulps, sign: sign * _nudged(float(f"1e{k}"), ulps),
+              st.integers(-323, 308), st.integers(-4, 4), st.sampled_from([1.0, -1.0])),
+    # exact 18-digit values halfway between two 17-digit ones
+    st.builds(lambda m, q: m + q, st.integers(10**15, 2**51 - 1), st.sampled_from([0.25, 0.75])),
+    # zeros and the edges of the vectorized range, written by format_float
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-250, -1e-250, _nudged(1e-250, -1), 1e250,
+                     _nudged(1e250, -1), -1e300, _MAX, _TINY]),
+)
+
+
+@st.composite
+def _csv_tables(draw):
+    ncols = draw(st.integers(1, 9))
+    nrows = draw(st.integers(1, 30))
+    values = draw(st.lists(_CSV_VALUES, min_size=nrows * ncols, max_size=nrows * ncols))
+    return Table(columns=[f"c{j}" for j in range(ncols)], rows=np.reshape(values, (nrows, ncols)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_csv_tables())
+def test_emit_csv_matches_per_value_reference_property(table):
+    buf = io.StringIO()
+    emit_csv(table, buf)
+    assert buf.getvalue() == _reference_csv(table)
+
+
+def test_emit_csv_every_power_of_ten_and_neighbours():
+    # 10**k - 4 ulps .. 10**k + 4 ulps, one row each, both signs: floor(log10)
+    # is one off below a power, and some doubles just below 10**k round up
+    # to "1e+k", carrying into the exponent
+    bits = np.array([float(f"1e{k}") for k in range(-323, 309)]).view(np.int64)
+    rows = np.maximum(bits[:, None] + np.arange(-4, 5), 0).view(np.float64)
+    table = Table(columns=[f"u{u}" for u in range(-4, 5)], rows=np.concatenate([rows, -rows]))
+    buf = io.StringIO()
+    emit_csv(table, buf)
+    assert buf.getvalue() == _reference_csv(table)
+
+
 @pytest.mark.parametrize("ncols", [1, 9])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("where", ["first row", "last row of a later chunk"])
@@ -107,6 +161,9 @@ def test_empty_table_is_header_only():
     buf = io.StringIO()
     emit_csv(Table(columns=["x", "y"], rows=np.zeros((0, 2))), buf)
     assert buf.getvalue() == "x,y\n"
+    buf = io.StringIO()
+    emit_csv(Table(columns=[], rows=np.zeros((2, 0))), buf)
+    assert buf.getvalue() == "\n\n\n"  # an empty header and two empty rows
 
 
 def test_emit_json_order_and_escapes():
