@@ -44,7 +44,6 @@ from .finite import (
     decoupled_spectrum,
     spectrum,
     ssh_spectrum,
-    symmetry_residuals,
 )
 from .model import BlochState, BulkParams, FiniteParams, Grid, SpinorGrid, make_grid
 
@@ -86,7 +85,6 @@ __all__ = [
     "phase_phi",
     "spectrum",
     "ssh_spectrum",
-    "symmetry_residuals",
     "wilson_loop_phase",
     "zak_analytic",
     "zak_wilson",

@@ -16,9 +16,10 @@ Layout. The %g rules: fixed notation for exponents -4 .. 16, else
 d.ddde+XX with at least two exponent digits; trailing zeros are dropped,
 and the point with them when no fraction is left. Each value is laid out
 in a fixed 48-byte field padded with NUL, which bytes.translate deletes.
+Zeros are laid out as the digit 0, signed by their sign bit: "0", "-0".
 
 Fallback. format_float writes the values the kernel cannot round with
-certainty, spliced in place: zeros, |x| outside [1e-250, 1e250), and
+certainty, spliced in place: nonzero |x| outside [1e-250, 1e250), and
 values whose scaled fraction lies within 2**-30 of 1/2 (possible ties).
 
 The tables are built when this module is first imported, which
@@ -108,6 +109,8 @@ def rows_text(rows: np.ndarray) -> bytes:
     a = np.abs(x)
     fast = (a >= FAST_MIN) & (a < FAST_MAX)
     a = np.where(fast, a, 1.0)
+    zero = x == 0.0
+    fast |= zero  # laid out as 1.0 is, with the digit 0
     e10 = np.floor(np.log10(a)).astype(np.int64)
     whole, frac = _scaled(a, e10)
     shift = (whole >= 10**17).astype(np.int64) - (whole < 10**16)
@@ -121,6 +124,7 @@ def rows_text(rows: np.ndarray) -> bytes:
     carry = d == 10**17
     d[carry] = 10**16
     e10 += carry
+    d[zero] = 0
 
     lead, rest = np.divmod(d, 10**16)
     upper, lower = np.divmod(rest, 10**8)
@@ -134,7 +138,7 @@ def rows_text(rows: np.ndarray) -> bytes:
     keep = np.where(fixed & (e10 > 0), np.maximum(17 - zeros, e10 + 1), 17 - zeros)
 
     words = np.empty((n, 6), np.uint64)
-    words[:, 0] = ((x < 0).astype(np.uint64) * ord("-")
+    words[:, 0] = (np.signbit(x).astype(np.uint64) * ord("-")
                    | _PREFIXES[np.where(fixed & (e10 < 0), -e10, 0)]
                    | (lead.astype(np.uint64) + ord("0")) << 48)
     for k, g in enumerate(groups):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bulk import _K_CHUNK, BandPoint, GAP_ABS_TOL, energy_bands
+from .bulk import _K_CHUNK, BandPoint, GAP_ABS_TOL, _rescaled, _scaled, energy_bands
 from .errors import (
     ConvergenceFailure,
     CutoffTooSmall,
@@ -74,10 +74,15 @@ def approx_matrix(params: BulkParams, order: int, k: float) -> np.ndarray:
 
 
 def approx_bands(params: BulkParams, order: int, k) -> BandPoint:
-    """Truncated band energies +-|z(k)| (scalar or array k)."""
+    """Truncated band energies +-|z(k)| (scalar or array k).
+
+    |z| is taken on the couplings scaled by bulk._scaled and scaled back,
+    which is exact; bands beyond the float64 range are a NumericalError.
+    """
     _check_order(order)
     k = np.asarray(k, dtype=float)
-    e = np.abs(_b_numerator(params, order, k))
+    s, scaled = _scaled(params)
+    e = _rescaled(s, np.abs(_b_numerator(scaled, order, k)), params, f"the order-{order} bands")
     return BandPoint(k=k, e_minus=-e, e_plus=e)
 
 
@@ -148,11 +153,13 @@ def berry_integral(
     the sample nearest k = 0, and a step above pi/2 then starts or ends on
     that sample, so the gap closure is found first, as in one pass.
     quadrature_error is the rounding floor 4 max|theta| eps of the unwrapped
-    phase theta.
+    phase theta. z is sampled on the couplings scaled by bulk._scaled: that
+    leaves arg z as it is and cannot overflow.
     """
     band_sign(band)
     if order not in (1, 2):
         raise UnsupportedOrder(f"Berry integral implemented for orders 1 and 2, got {order}")
+    params = _scaled(params)[1]
     v, w, a = params.v, params.w, params.a
     if cutoff_k is None:
         cutoff_k = BERRY_DEFAULT_CUTOFF / a

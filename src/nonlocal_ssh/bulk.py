@@ -18,12 +18,13 @@ so any per-k phase choice cancels.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CriticalPoint, GapClosure, ValidationError
+from .errors import CriticalPoint, GapClosure, NumericalError, ValidationError
 from .model import (
     EPS,
     BlochState,
@@ -69,19 +70,40 @@ def bloch_matrix(params: BulkParams, k: float) -> np.ndarray:
     return np.array([[0.0, h], [np.conj(h), 0.0]], dtype=complex)
 
 
+def _scaled(params: BulkParams) -> tuple[float, BulkParams]:
+    """s = 2**(e-1) <= max(|v|, |w|) < 2**e and the record with v/s and w/s.
+
+    The division is exact and leaves the larger coupling in [1, 2), so
+    squares and sums of the scaled couplings cannot overflow; s itself is
+    finite up to the float64 maximum.
+    """
+    s = math.ldexp(1.0, math.frexp(max(abs(params.v), abs(params.w)))[1] - 1)
+    return s, dataclasses.replace(params, v=params.v / s, w=params.w / s)
+
+
+def _rescaled(s: float, e: np.ndarray, params: BulkParams, what: str) -> np.ndarray:
+    """s * e; refused with NumericalError where that leaves the float64 range."""
+    with np.errstate(over="ignore"):
+        e = s * e
+    if not np.isfinite(e).all():
+        raise NumericalError(
+            f"{what} at v = {params.v!r}, w = {params.w!r} exceed the float64 range"
+        )
+    return e
+
+
 def energy_bands(params: BulkParams, k):
     """Band energies at momentum k (scalar or array).
 
-    Returns a BandPoint with e_plus = -e_minus >= 0.
+    Returns a BandPoint with e_plus = -e_minus >= 0. The couplings are
+    scaled by _scaled first, which keeps the squares from overflowing and
+    is exact, so ordinary couplings give the unscaled formula's bits;
+    bands beyond the float64 range are a NumericalError.
     """
     k = np.asarray(k, dtype=float)
-    v, w, a = params.v, params.w, params.a
-    # dividing by a power of two near max(|v|, |w|) keeps the squares from
-    # overflowing (couplings above ~1e154) and is exact, so ordinary
-    # couplings give the unscaled formula's bits
-    s = math.ldexp(1.0, math.frexp(max(abs(v), abs(w)))[1])
-    v, w = v / s, w / s
-    e = s * np.sqrt(v * v + w * w + 2.0 * v * w * np.cos(a * k))
+    s, scaled = _scaled(params)
+    v, w, a = scaled.v, scaled.w, scaled.a
+    e = _rescaled(s, np.sqrt(v * v + w * w + 2.0 * v * w * np.cos(a * k)), params, "the bands")
     return BandPoint(k=k, e_minus=-e, e_plus=e)
 
 
@@ -211,10 +233,3 @@ def zak_wilson(params: BulkParams, band: str = "plus", nk: int = 2048) -> ZakRes
     cls = "topological" if dist_topo < dist_triv else "trivial"
     return ZakResult(value=gamma, classification=cls, k_points=nk)
 
-
-def parity_check(params: BulkParams, k: float) -> float:
-    """Residual of the inversion symmetry sigma_x H(-k) sigma_x = H(k)."""
-    hk = bloch_matrix(params, k)
-    hmk = bloch_matrix(params, -k)
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return float(np.max(np.abs(sx @ hmk @ sx - hk)))

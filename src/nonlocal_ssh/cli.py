@@ -120,6 +120,17 @@ def _k_range(args, params: BulkParams) -> tuple[float, float]:
     return kmin, kmax
 
 
+def _zero_window(args, params: FiniteParams) -> float:
+    """The absolute zero-mode window --tol-zero * |w0|; refused unless positive and finite."""
+    tol_abs = args.tol_zero * abs(params.w0)
+    if not 0.0 < tol_abs < math.inf:  # the inputs are named: the product may under- or overflow
+        raise ValidationError(
+            f"the zero-mode window --tol-zero * |w0| = {args.tol_zero!r} * {abs(params.w0)!r} "
+            f"= {tol_abs!r} must be positive and finite"
+        )
+    return tol_abs
+
+
 def _cmd_bands(args) -> int:
     params = _params(args, BulkParams)
     kmin, kmax = _k_range(args, params)
@@ -196,7 +207,7 @@ def _cmd_finite(args) -> int:
     if args.vectors and not args.out:
         raise ValidationError("--vectors needs --out to place per-state files")
     op = finite.build_finite(params)
-    tol_abs = finite.check_zero_window(args.tol_zero * abs(params.w0))
+    tol_abs = _zero_window(args, params)
     res = finite.spectrum(op)
     n_zero = finite.zero_mode_count(res.eigenvalues, tol_abs)
     inputs = {"command": "finite", **dataclasses.asdict(params),
@@ -223,7 +234,7 @@ def _cmd_finite(args) -> int:
 
 def _cmd_compare(args) -> int:
     params = _params(args, FiniteParams)
-    cmp = finite.compare_ssh(params, tol_zero=args.tol_zero * abs(params.w0))
+    cmp = finite.compare_ssh(params, tol_zero=_zero_window(args, params))
     idx = np.arange(cmp.e_box.size)
     table = Table(columns=["index", "E_box", "E_ssh"],
                   rows=np.column_stack([idx, cmp.e_box, cmp.e_chain]))

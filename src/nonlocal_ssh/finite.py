@@ -16,12 +16,10 @@ The eigensolver uses that decomposition: one SVD per distinct cell count
 of C restricted to a residue class (a lower-bidiagonal block), whose
 singular values, tiled by multiplicity, give the spectrum as exact +-sigma
 pairs (chiral symmetry built in). Dense per-chain diagonalization
-(decoupled_spectrum) is the oracle; to_dense() gives H itself for
-brute-force checks.
+(decoupled_spectrum) is the oracle.
 
 C itself is kept as its two diagonals (HopBlock) and applied with numpy
-slices; dense copies of C or H are made only on request, below a fixed
-size ceiling.
+slices.
 """
 
 from __future__ import annotations
@@ -32,23 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, ValidationError
+from .errors import GridMismatch, NumericalError, ValidationError
 from .model import FiniteParams, Grid, SpinorGrid, make_grid
 
 # relative (to |w0|) half-width of the "zero energy" window
 ZERO_TOL_DEFAULT = 1e-8
 
-# largest dense array (in elements) the dense routes may allocate: 2**26
-# float64 entries are 512 MiB, which admits boxes up to 8192 levels
+# largest dense chain block (in elements) the solver may allocate: 2**26
+# float64 entries are 512 MiB, which admits chains up to 8192 cells
 DENSE_MAX_ELEMENTS = 2**26
-
-
-def _require_dense_size(n_elements: int, what: str) -> None:
-    if n_elements > DENSE_MAX_ELEMENTS:
-        raise ValidationError(
-            f"{what} would need {n_elements} dense elements, above the ceiling "
-            f"DENSE_MAX_ELEMENTS = {DENSE_MAX_ELEMENTS}"
-        )
 
 
 class HopBlock:
@@ -91,24 +81,13 @@ class HopBlock:
             out[m:] += self.w0 * x[:-m]
         return out
 
-    def toarray(self) -> np.ndarray:
-        """The dense n x n matrix."""
-        idx = np.arange(self.n)
-        rows, cols = idx[self.m :], idx[: -self.m]
-        if self.transposed:
-            rows, cols = cols, rows
-        c = np.zeros((self.n, self.n))
-        c[idx, idx] = self.v0
-        c[rows, cols] = self.w0
-        return c
-
 
 @dataclass(frozen=True)
 class FiniteOperator:
     """The box Hamiltonian, stored as its P x P coupling block C.
 
-    c_block is anything with @, .T and toarray() for a P x P matrix;
-    build_finite stores a HopBlock.
+    c_block is anything with @ and .T for a P x P matrix; build_finite
+    stores a HopBlock.
     """
 
     params: FiniteParams
@@ -127,16 +106,6 @@ class FiniteOperator:
     def hop_steps(self) -> int:
         return self.params.hop_steps
 
-    def to_dense(self) -> np.ndarray:
-        """Full 2P x 2P matrix in (A, B) block order; refuses above DENSE_MAX_ELEMENTS."""
-        p = self.n_points
-        _require_dense_size((2 * p) ** 2, "the dense box Hamiltonian")
-        c = self.c_block.toarray()
-        h = np.zeros((2 * p, 2 * p), dtype=c.dtype)
-        h[:p, p:] = c
-        h[p:, :p] = c.T
-        return h
-
     def apply(self, spinor: SpinorGrid) -> SpinorGrid:
         """H acting on a sampled spinor."""
         if spinor.grid.n != self.grid.n:
@@ -148,10 +117,6 @@ class FiniteOperator:
             psi_a=self.c_block @ spinor.psi_b,
             psi_b=self.c_block.T @ spinor.psi_a,
         )
-
-    def norm_bound(self) -> float:
-        """|v0| + |w0|, an upper bound on the spectral norm."""
-        return abs(self.params.v0) + abs(self.params.w0)
 
 
 def build_finite(params: FiniteParams) -> FiniteOperator:
@@ -199,7 +164,11 @@ def _chain_block(n_cells: int, v: float, w: float) -> np.ndarray:
 
     Dense n x n, so it refuses above DENSE_MAX_ELEMENTS before allocating.
     """
-    _require_dense_size(n_cells**2, f"the dense block of a {n_cells}-cell chain")
+    if n_cells**2 > DENSE_MAX_ELEMENTS:
+        raise ValidationError(
+            f"the dense block of a {n_cells}-cell chain would need {n_cells**2} dense "
+            f"elements, above the ceiling DENSE_MAX_ELEMENTS = {DENSE_MAX_ELEMENTS}"
+        )
     block = np.diag(np.full(n_cells, float(v)))
     block[np.arange(1, n_cells), np.arange(n_cells - 1)] = w
     return block
@@ -239,14 +208,20 @@ def _sampled_residual(op: FiniteOperator, evals: np.ndarray, pair) -> float:
 
     pair(j) gives level j's (psi_a, psi_b); the sampled pairs become the
     columns of two P x 19 blocks, so C and C^T are applied once each.
+
+    The defects are divided by a power of two near the largest of them
+    before they are squared: that is exact, so couplings near the float64
+    maximum cannot overflow the squares and ordinary ones keep their bits.
     """
     p, dim = op.n_points, op.dimension
     sample = sorted(set(np.linspace(0, dim - 1, 17, dtype=int)) | {p - 1, p})
     psi_a, psi_b = (np.stack(cols, axis=1) for cols in zip(*map(pair, sample)))
     lam = evals[sample]
-    defect_a = np.abs(op.c_block @ psi_b - lam * psi_a) ** 2
-    defect_b = np.abs(op.c_block.T @ psi_a - lam * psi_b) ** 2
-    return float(np.sqrt(np.max(defect_a.sum(axis=0) + defect_b.sum(axis=0))))
+    defect_a = np.abs(op.c_block @ psi_b - lam * psi_a)
+    defect_b = np.abs(op.c_block.T @ psi_a - lam * psi_b)
+    s = math.ldexp(1.0, math.frexp(max(defect_a.max(), defect_b.max()))[1])
+    squares = ((defect_a / s) ** 2).sum(axis=0) + ((defect_b / s) ** 2).sum(axis=0)
+    return float(s * np.sqrt(np.max(squares)))
 
 
 def spectrum(op: FiniteOperator) -> SpectrumResult:
@@ -256,14 +231,24 @@ def spectrum(op: FiniteOperator) -> SpectrumResult:
     per distinct cell count, singular values tiled by multiplicity, which
     enforces the +-E pairing exactly. residual_bound is measured with H
     built from the operator's own c_block, so it exposes an operator whose
-    C is not the chain structure its parameters imply.
+    C is not the chain structure its parameters imply. Levels beyond the
+    float64 range are a NumericalError.
     """
     evals, pair = _chain_eigensystem(op)
+    _require_finite_levels(evals, op.params, "the box")
     return SpectrumResult(
         eigenvalues=evals,
         vectors=_LazyStates(range(op.dimension), lambda j: SpinorGrid(op.grid, *pair(j))),
         residual_bound=_sampled_residual(op, evals, pair),
     )
+
+
+def _require_finite_levels(levels: np.ndarray, params: FiniteParams, what: str) -> None:
+    if not np.isfinite(levels).all():
+        raise NumericalError(
+            f"the levels of {what} at v0 = {params.v0!r}, w0 = {params.w0!r} "
+            "exceed the float64 range"
+        )
 
 
 def default_zero_tol(params: FiniteParams) -> float:
@@ -343,39 +328,6 @@ def decoupled_spectrum(op: FiniteOperator) -> np.ndarray:
     return np.sort(np.concatenate([ssh_spectrum(c) for c in chain_decomposition(op)]))
 
 
-@dataclass(frozen=True)
-class SymmetryResiduals:
-    """Frobenius norms of the symmetry defects and of H itself."""
-
-    chiral: float
-    parity: float
-    h_norm: float
-
-
-def symmetry_residuals(op: FiniteOperator) -> SymmetryResiduals:
-    """Chiral defect ||{H, Sz}||_F and inversion defect ||[H, X]||_F.
-
-    Sz is +1 on A sites and -1 on B sites; X maps (A, x) <-> (B, -x). Both
-    are evaluated on the dense P x P block C (refused above
-    DENSE_MAX_ELEMENTS). H has no diagonal blocks, so {H, Sz} has only the
-    off-diagonal blocks -C + C and C^T - C^T. With R the reversal,
-    [H, X] = diag(CR - RC^T, C^TR - RC), and both blocks have the Frobenius
-    norm of C - R C^T R = C - flip(C)^T, hence parity = sqrt2 ||C - flip(C)^T||_F
-    and ||H||_F = sqrt2 ||C||_F. On the symmetric grid both defects are
-    structural zeros; an asymmetric c_block (hand-built operators) reports a
-    positive parity defect rather than raising.
-    """
-    p = op.n_points
-    _require_dense_size(p * p, "the dense coupling block for symmetry_residuals")
-    c = op.c_block.toarray()
-    sz_a, sz_b = 1.0, -1.0
-    chiral = np.hypot(np.linalg.norm(c * sz_b + sz_a * c), np.linalg.norm(c.T * sz_a + sz_b * c.T))
-    parity = np.sqrt(2.0) * np.linalg.norm(c - c[::-1, ::-1].T)
-    return SymmetryResiduals(
-        chiral=float(chiral), parity=float(parity), h_norm=float(np.sqrt(2.0) * np.linalg.norm(c))
-    )
-
-
 def kolmogorov_distance(sample_a: np.ndarray, sample_b: np.ndarray) -> float:
     """sup-distance between the empirical CDFs of two samples."""
     xs = np.sort(np.asarray(sample_a, dtype=float))
@@ -407,7 +359,8 @@ def compare_ssh(params: FiniteParams, tol_zero: float | None = None) -> Spectrum
     couplings, so the bulk densities agree while the midgap content differs:
     the box hosts 2m near-zero modes in the topological phase, the chain 2.
     tol_zero is the absolute zero-mode window, 1e-8*|w0| by default; one
-    that is not positive and finite is a ValidationError.
+    that is not positive and finite is a ValidationError. Levels of either
+    system beyond the float64 range are a NumericalError.
     """
     op = build_finite(params)
     tol_zero = check_zero_window(default_zero_tol(params) if tol_zero is None else tol_zero)
@@ -415,6 +368,7 @@ def compare_ssh(params: FiniteParams, tol_zero: float | None = None) -> Spectrum
     # larger block, so its size guard runs before the box is solved
     s = np.linalg.svd(_chain_block(params.n_points, params.v0, params.w0), compute_uv=False)
     e_chain = np.concatenate([-s, s[::-1]])
+    _require_finite_levels(e_chain, params, f"the {params.n_points}-cell chain")
     e_box = spectrum(op).eigenvalues
     return SpectrumComparison(
         e_box=e_box,

@@ -10,10 +10,11 @@ Every float field is the string "%.17g" % x. JSON scalars get it from
 format_float, the one per-value formatter. CSV tables get it from the
 numpy kernel in _csv, chunk by chunk of _CSV_CHUNK_VALUES values: it
 scales each |x| to a 17-digit integer in double-double arithmetic, lays
-out sign, digits, point and exponent by the %g rules, and hands the
-values it cannot round with certainty (zeros, |x| outside
-[1e-250, 1e250), possible decimal ties) to format_float. The kernel
-module and its tables load with the first table written.
+out sign, digits, point and exponent by the %g rules, writes zeros as
+"0" or "-0", and hands the values it cannot round with certainty
+(nonzero |x| outside [1e-250, 1e250), possible decimal ties) to
+format_float. The kernel module and its tables load with the first
+table written.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from nonlocal_ssh.approx import (
     BERRY_DEFAULT_CUTOFF,
+    _b_numerator,
     approx_bands,
     approx_eigvec,
     approx_matrix,
@@ -19,6 +20,7 @@ from nonlocal_ssh.errors import (
     CutoffTooSmall,
     GapClosure,
     ModelError,
+    NumericalError,
     UnsupportedOrder,
     ValidationError,
 )
@@ -265,3 +267,44 @@ def test_comparison_table():
     assert rows[j, 8] == pytest.approx(energy_bands(P, k).e_plus)
     with pytest.raises(ValidationError):
         comparison_table(P, k_samples=1)
+
+
+def test_truncated_bands_scaling_is_bit_identical():
+    # |z| is taken on couplings divided by a power of two: where the plain
+    # formula neither overflows nor underflows it gives the same bits
+    rng = np.random.default_rng(1023)
+    k = rng.uniform(-10, 10, 64)
+    for _ in range(100):
+        v, w = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-100, 100, 2)
+        p = BulkParams(v=v, w=w, a=rng.uniform(0.1, 3.0))
+        for order in (0, 1, 2):
+            plain = np.abs(_b_numerator(p, order, k))
+            assert np.array_equal(approx_bands(p, order, k).e_plus, plain)
+
+
+def test_truncated_bands_at_float_max():
+    # one zone of every order fits below the float64 maximum at
+    # (1.5e308, 1e307); at (1e307, 1e308) order 1 reaches ~3.3e308 at ka = pi
+    k = np.linspace(-np.pi, np.pi, 101)
+    p = BulkParams(v=1.5e308, w=1e307, a=1.0)
+    scaled = BulkParams(v=1.5e308 / 2**10, w=1e307 / 2**10, a=1.0)
+    for order in (0, 1, 2):
+        ref = 2**10 * np.abs(_b_numerator(scaled, order, k))
+        assert np.array_equal(approx_bands(p, order, k).e_plus, ref)
+    _, rows = comparison_table(p, k_samples=101)
+    assert np.isfinite(rows).all()
+    with pytest.raises(NumericalError, match="order-1 bands at v = 1e[+]307, w = 1e[+]308"):
+        comparison_table(BulkParams(v=1e307, w=1e308, a=1.0), k_samples=5)
+    with pytest.raises(NumericalError, match="order-0 bands at v = 1e[+]308, w = 1e[+]308"):
+        approx_bands(BulkParams(v=1e308, w=1e308, a=1.0), 0, k)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("order", [1, 2])
+def test_berry_at_float_max(order):
+    # arg z does not change under positive scaling: the same bits as at
+    # v = w = 1, with no overflow on the way (order 1 used to warn, order 2
+    # to refuse the cutoff)
+    big = berry_integral(BulkParams(v=1e308, w=1e308, a=1.0), order)
+    unit = berry_integral(BulkParams(v=1.0, w=1.0, a=1.0), order)
+    assert big.value == unit.value == (-0.5 * np.pi if order == 1 else -np.pi)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,12 @@ from nonlocal_ssh.bulk import (
     bloch_matrix,
     bloch_state,
     energy_bands,
-    parity_check,
     phase_phi,
     wilson_loop_phase,
     zak_analytic,
     zak_wilson,
 )
-from nonlocal_ssh.errors import CriticalPoint, GapClosure, ValidationError
+from nonlocal_ssh.errors import CriticalPoint, GapClosure, NumericalError, ValidationError
 from nonlocal_ssh.model import BulkParams, wrap_angle
 
 P_TOPO = BulkParams(v=0.5, w=1.0, a=1.0)
@@ -50,6 +51,19 @@ def test_bands_beyond_squaring_range():
         assert np.all(np.isfinite(bp.e_plus))
         assert np.allclose(bp.e_plus, ref, rtol=1e-15, atol=0)
         assert np.array_equal(bp.e_minus, -bp.e_plus)
+
+
+def test_bands_at_float_max():
+    # max(|v|, |w|) >= 2**1023: the scale 2**1024 itself used to overflow;
+    # bands that fit are answered, bands beyond the float64 range refused
+    k = np.linspace(-np.pi, np.pi, 101)
+    for v, w in [(1e307, 1e308), (1.7e308, -1e300), (-(2.0**1023), 2.0**1022)]:
+        bp = energy_bands(BulkParams(v=v, w=w, a=1.0), k)
+        ref = 4.0 * np.abs(v / 4.0 + w / 4.0 * np.exp(-1j * k))
+        assert np.allclose(bp.e_plus, ref, rtol=1e-15, atol=0)
+    for v, w in [(1e308, 1e308), (-1.7e308, 1e308)]:
+        with pytest.raises(NumericalError, match=re.escape(f"v = {v!r}, w = {w!r}")):
+            energy_bands(BulkParams(v=v, w=w, a=1.0), k)
 
 
 def test_band_scaling_is_bit_identical():
@@ -179,6 +193,8 @@ def test_wilson_loop_gauge_invariance():
 
 
 def test_parity_relation():
+    # inversion sigma_x H(-k) sigma_x = H(k), exact: conjugating by sigma_x
+    # reverses both axes of the 2x2 matrix
     for k in RNG.uniform(-5, 5, 16):
-        assert parity_check(P_TOPO, k) < 1e-14
-        assert parity_check(BulkParams(v=-1.2, w=0.4, a=2.2), k) < 1e-14
+        for p in (P_TOPO, BulkParams(v=-1.2, w=0.4, a=2.2)):
+            assert np.array_equal(bloch_matrix(p, -k)[::-1, ::-1], bloch_matrix(p, k))

@@ -470,6 +470,60 @@ def test_bands_beyond_squaring_range(capsys):
     assert np.allclose(data[:, 2], ref, rtol=1e-15, atol=0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["bands", "--v", "1e307", "--w", "1e308", "--a", "1", "--samples", "5"],
+    ["approx", "--v", "1.5e308", "--w", "1e307", "--a", "1", "--samples", "5"],
+    ["berry", "--v", "1e308", "--w", "1e308", "--a", "1", "--order", "1"],
+    ["finite", "--v0", "1e307", "--w0", "1e308", "--a", "0.2", "--L", "2", "--dx", "0.05"],
+    ["compare-ssh", "--v0", "1e307", "--w0", "1e308", "--a", "0.2", "--L", "2", "--dx", "0.05"],
+], ids=["bands", "approx", "berry", "finite", "compare-ssh"])
+def test_couplings_near_float_max_answered(capsys, argv):
+    # the scale 2**1024 of the bands, the sum v + w of the Berry samples and
+    # the squares of the box residual used to overflow: a traceback, a
+    # warning, or exit 3 after the table was written
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out and "Warning" not in err
+    summary = [json.loads(line) for line in err.splitlines() if "residual_bound" in line]
+    for doc in summary:
+        assert 0.0 < doc["residual_bound"] < 1e-12 * 1e308
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["bands", "--v", "1.7e308", "--w", "1e308", "--a", "1", "--samples", "5"],
+    ["bands", "--v", "1e308", "--w", "1e308", "--a", "1"],
+    ["approx", "--v", "1e307", "--w", "1e308", "--a", "1"],
+    ["approx", "--v", "1e308", "--w", "1e308", "--a", "1", "--order", "2"],
+    ["finite", "--v0", "1e308", "--w0", "1e308", "--a", "0.2", "--L", "2", "--dx", "0.05"],
+    ["compare-ssh", "--v0", "1e308", "--w0", "1e308", "--a", "0.2", "--L", "2", "--dx", "0.05"],
+], ids=["bands-1.7e308", "bands", "approx", "approx-order-2", "finite", "compare-ssh"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_levels_beyond_float_max_refused(tmp_path, capsys, argv, to_file):
+    # refused in the solver, before any output: one stderr line naming the
+    # couplings, no warning, empty stdout, no file
+    extra = ["--out", str(tmp_path / "result")] if to_file else []
+    assert cli.main(argv + extra) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    coupling = "v0" if argv[0] in ("finite", "compare-ssh") else "v"
+    assert err.startswith("numerical failure: ") and f"{coupling} = " in err
+    assert "float64 range" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["finite", "compare-ssh"])
+def test_underflowing_zero_mode_window_names_inputs(capsys, command):
+    # 1e-8 * 1e-320 underflows to 0.0; the refusal names the inputs, not 0.0
+    assert cli.main([command, "--v0", "1", "--w0", "1e-320", "--a", "0.2", "--L", "2",
+                     "--dx", "0.05"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: the zero-mode window --tol-zero * |w0| = 1e-08 * 1e-320 "
+                   "= 0.0 must be positive and finite\n")
+
+
 def _files(directory):
     return {f.name: f.read_bytes() for f in sorted(directory.iterdir())}
 

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
+from box_reference import box_h, reference_c, reference_h, symmetry_defects
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +21,6 @@ from nonlocal_ssh.finite import (
     spectrum,
     ssh_chain_matrix,
     ssh_spectrum,
-    symmetry_residuals,
     zero_mode_count,
 )
 from nonlocal_ssh.model import FiniteParams, SpinorGrid, make_grid
@@ -30,6 +29,8 @@ RNG = np.random.default_rng(31)
 
 SMALL = FiniteParams(v0=0.7, w0=-1.3, a=0.3, L=2.1, dx=0.1)  # m=3, P=22
 
+SIGNS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+
 
 def test_tiny_box_brute_force():
     # P=3, m=1, v0=0: C is a pure shift, singular values {1, 1, 0}
@@ -37,7 +38,7 @@ def test_tiny_box_brute_force():
     op = build_finite(p)
     assert op.dimension == 6
     ev = spectrum(op).eigenvalues
-    brute = np.linalg.eigvalsh(op.to_dense())
+    brute = np.linalg.eigvalsh(box_h(p))
     assert np.allclose(ev, brute, atol=1e-12)
     assert np.allclose(ev, [-1, -1, 0, 0, 1, 1], atol=1e-12)
 
@@ -89,7 +90,7 @@ def test_apply_matches_recursion():
 def test_spectrum_vectors_are_eigenvectors():
     op = build_finite(SMALL)
     res = spectrum(op)
-    h = op.to_dense()
+    h = box_h(SMALL)
     assert len(res.vectors) == op.dimension
     for j in range(op.dimension):
         st = res.vectors[j]
@@ -124,13 +125,12 @@ def test_spectrum_vectors_slice_like_a_sequence():
     dict(a=0.1, L=2.0, dx=0.1),  # m = 1: a single chain
 ], ids=["even", "uneven", "single"])
 @pytest.mark.parametrize("phase", [(0.6, 1.3), (1.3, 0.6)], ids=["topological", "trivial"])
-@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)],
-                         ids=["++", "+-", "-+", "--"])
+@pytest.mark.parametrize("signs", SIGNS, ids=["++", "+-", "-+", "--"])
 def test_chain_route_matches_oracles(signs, phase, geometry):
     p = FiniteParams(v0=signs[0] * phase[0], w0=signs[1] * phase[1], **geometry)
     op = build_finite(p)
     ev = spectrum(op).eigenvalues
-    assert np.max(np.abs(ev - np.linalg.eigvalsh(op.to_dense()))) < 1e-10
+    assert np.max(np.abs(ev - np.linalg.eigvalsh(box_h(p)))) < 1e-10
     assert np.max(np.abs(ev - decoupled_spectrum(op))) < 1e-10
     assert np.array_equal(ev, -ev[::-1])
 
@@ -143,7 +143,7 @@ def _random_boxes(draw):
     weak = draw(st.floats(0.05, 1.0))
     strong = draw(st.floats(0.2, 5.0))
     v0, w0 = (weak * strong, strong) if draw(st.booleans()) else (strong, weak * strong)
-    sign_v, sign_w = draw(st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+    sign_v, sign_w = draw(st.sampled_from(SIGNS))
     return FiniteParams(v0=sign_v * v0, w0=sign_w * w0, a=m * 0.1, L=steps * 0.1, dx=0.1)
 
 
@@ -152,33 +152,23 @@ def _random_boxes(draw):
 def test_chain_route_matches_brute_force_on_random_boxes(params):
     op = build_finite(params)
     ev = spectrum(op).eigenvalues
-    brute = np.linalg.eigvalsh(op.to_dense())
-    assert np.max(np.abs(ev - brute)) <= 1e-12 * op.norm_bound()
+    brute = np.linalg.eigvalsh(box_h(params))
+    assert np.max(np.abs(ev - brute)) <= 1e-12 * (abs(params.v0) + abs(params.w0))
     assert np.array_equal(ev, -ev[::-1])
-
-
-def _reference_c(v0, w0, m, p):
-    # row i couples grid point i (v0) and grid point i - m (w0)
-    c = np.zeros((p, p))
-    for i in range(p):
-        c[i, i] = v0
-        if i - m >= 0:
-            c[i, i - m] = w0
-    return c
 
 
 @pytest.mark.parametrize("p, m", [(9, 1), (9, 8), (10, 3), (12, 3), (6, 6), (4, 7)],
                          ids=["m=1", "m=P-1", "uneven", "even", "m=P", "m>P"])
-@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)],
-                         ids=["++", "+-", "-+", "--"])
+@pytest.mark.parametrize("signs", SIGNS, ids=["++", "+-", "-+", "--"])
 def test_hop_block_matches_reference(signs, p, m):
     v0, w0 = signs[0] * 0.7, signs[1] * 1.3
     block = HopBlock(v0, w0, m, p)
-    want = _reference_c(v0, w0, m, p)
+    want = reference_c(v0, w0, m, p)
+    eye = np.eye(p)
     assert block.shape == (p, p)
-    assert np.array_equal(block.toarray(), want)
-    assert np.array_equal(block.T.toarray(), want.T)
-    assert np.array_equal(block.T.T.toarray(), want)
+    assert np.array_equal(block @ eye, want)
+    assert np.array_equal(block.T @ eye, want.T)
+    assert np.array_equal(block.T.T @ eye, want)
     rng = np.random.default_rng(p * 100 + m)
     for x in (rng.normal(size=p),
               rng.normal(size=p) + 1j * rng.normal(size=p),
@@ -203,26 +193,17 @@ def test_build_finite_stores_hop_block():
     assert isinstance(op.c_block, HopBlock)
     assert (op.c_block.m, op.c_block.n) == (op.hop_steps, op.n_points)
     assert np.array_equal(
-        op.c_block.toarray(), _reference_c(SMALL.v0, SMALL.w0, op.hop_steps, op.n_points)
+        op.c_block @ np.eye(op.n_points),
+        reference_c(SMALL.v0, SMALL.w0, op.hop_steps, op.n_points),
     )
 
 
-def test_dense_routes_refuse_large_box():
-    # P = 40001: the dense C alone would be 12.8 GB, the dense H four times that
+def test_symmetry_identities_exact_on_large_box():
+    # P = 40001: apply() serves this box in O(P), and both identities hold
+    # bit for bit
     op = build_finite(FiniteParams(v0=0.5, w0=1.0, a=0.2, L=400.0, dx=0.01))
     assert op.n_points == 40001
-    assert op.n_points**2 > DENSE_MAX_ELEMENTS
-    routes = (op.to_dense, lambda: symmetry_residuals(op))
-    tracemalloc.start()
-    try:
-        for route in routes:
-            with pytest.raises(ValidationError):
-                route()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000  # refused before allocating
-    # apply() still serves this box in O(P)
+    assert symmetry_defects(op) == (0.0, 0.0)
     ones = np.ones(op.n_points)
     out = op.apply(SpinorGrid(grid=op.grid, psi_a=ones, psi_b=ones))
     assert out.psi_a[0] == 0.5 and out.psi_a[-1] == 1.5
@@ -251,9 +232,10 @@ def test_chain_block_guard_refuses_long_chains():
 
 
 def test_dense_ceiling_admits_acceptance_box():
-    # the ceiling leaves the 2002-level box's dense H a margin of 8x
+    # the largest dense array the 2002-level box needs is compare-ssh's
+    # 1001-cell chain block; the ceiling leaves it a margin of 64x
     p = FiniteParams(v0=0.5, w0=1.0, a=0.2, L=10.0, dx=0.01)
-    assert 8 * build_finite(p).dimension ** 2 <= DENSE_MAX_ELEMENTS
+    assert 64 * p.n_points**2 <= DENSE_MAX_ELEMENTS
 
 
 def test_chain_decomposition_sizes():
@@ -273,33 +255,51 @@ def test_decoupling_oracle_small():
     assert np.max(np.abs(np.sort(full) - dec)) < 1e-12
 
 
-def test_symmetry_residuals_structural():
-    res = symmetry_residuals(build_finite(SMALL))
-    assert res.chiral == 0.0
-    assert res.parity == 0.0
-    assert res.h_norm > 0.0
+@st.composite
+def _hop_operators(draw):
+    # a HopBlock wrapped as a box operator: m = 1, P - 1, P or beyond P
+    # (the last two only by hand, as FiniteParams needs L > a), any signs
+    p = draw(st.integers(3, 60))
+    m = draw(st.sampled_from([1, p - 1, p, p + draw(st.integers(1, 5))]))
+    sign_v, sign_w = draw(st.sampled_from(SIGNS))
+    v0 = sign_v * draw(st.floats(1e-3, 1e3))
+    w0 = sign_w * draw(st.floats(1e-3, 1e3))
+    params = FiniteParams(v0=v0, w0=w0, a=0.1, L=(p - 1) * 0.1, dx=0.1)
+    return FiniteOperator(params=params, grid=make_grid(params), c_block=HopBlock(v0, w0, m, p))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hop_operators(), st.integers(0, 2**32 - 1))
+def test_symmetry_identities_exact(op, seed):
+    assert symmetry_defects(op, seed) == (0.0, 0.0)
 
 
 def _extra_hop_operator():
     # hand-built operator with one extra hop from grid point 1 to 0: it
     # mixes two residue classes, so it breaks the chain structure, and it
-    # avoids the anti-diagonal, which parity fixes
+    # avoids the anti-diagonal, which parity fixes; its c_block is the
+    # dense C itself
     p = SMALL
-    c = build_finite(p).c_block.toarray()
+    c = reference_c(p.v0, p.w0, p.hop_steps, p.n_points)
     c[0, 1] += 0.5
-    return FiniteOperator(params=p, grid=make_grid(p), c_block=sp.csr_array(c))
+    return FiniteOperator(params=p, grid=make_grid(p), c_block=c)
 
 
 def test_symmetry_detects_broken_parity():
+    # the P = 22 box keeps both identities exactly; one extra hop leaves it
     # still chiral, not parity
-    res = symmetry_residuals(_extra_hop_operator())
-    assert res.chiral == 0.0
-    assert res.parity > 0.1
+    assert symmetry_defects(build_finite(SMALL)) == (0.0, 0.0)
+    chiral, parity = symmetry_defects(_extra_hop_operator())
+    assert chiral <= 1e-12
+    assert parity > 0.1
 
 
 def _dense_eigensystem(op):
-    # eigh of the whole H: eigenpairs that spread over every residue class
-    evals, vecs = np.linalg.eigh(op.to_dense())
+    # eigh of the whole H, built from the loop-built C (or a hand-built
+    # operator's own dense C): eigenpairs that spread over every residue class
+    c = op.c_block if isinstance(op.c_block, np.ndarray) else reference_c(
+        op.params.v0, op.params.w0, op.hop_steps, op.n_points)
+    evals, vecs = np.linalg.eigh(reference_h(c))
     p = op.n_points
     return evals, lambda j: (vecs[:p, j], vecs[p:, j])
 
@@ -344,8 +344,7 @@ def _loop_residual_bound(op, evals, pair):
     dict(a=2.0 * (1 - 1e-10), L=2.0, dx=0.1),  # m = P - 1, the largest hop L > a admits
     dict(a=0.3, L=2.1, dx=0.1),  # P = 22, m = 3: uneven cell counts
 ], ids=["m=1", "m=P-1", "uneven"])
-@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)],
-                         ids=["++", "+-", "-+", "--"])
+@pytest.mark.parametrize("signs", SIGNS, ids=["++", "+-", "-+", "--"])
 def test_residual_bound_matches_per_pair_loop(signs, geometry, method):
     op = build_finite(FiniteParams(v0=signs[0] * 0.6, w0=signs[1] * 1.3, **geometry))
     if geometry["a"] > 1.0:
@@ -415,6 +414,6 @@ def test_compare_ssh_small_box():
 
 
 def test_norm_bound():
-    op = build_finite(SMALL)
-    ev = spectrum(op).eigenvalues
-    assert np.max(np.abs(ev)) <= op.norm_bound() + 1e-12
+    # |v0| + |w0| bounds the spectral norm
+    ev = spectrum(build_finite(SMALL)).eigenvalues
+    assert np.max(np.abs(ev)) <= abs(SMALL.v0) + abs(SMALL.w0) + 1e-12

@@ -103,7 +103,7 @@ _CSV_VALUES = st.one_of(
               st.integers(-323, 308), st.integers(-4, 4), st.sampled_from([1.0, -1.0])),
     # exact 18-digit values halfway between two 17-digit ones
     st.builds(lambda m, q: m + q, st.integers(10**15, 2**51 - 1), st.sampled_from([0.25, 0.75])),
-    # zeros and the edges of the vectorized range, written by format_float
+    # zeros, and the edges of the vectorized range, written by format_float
     st.sampled_from([0.0, -0.0, 5e-324, 1e-250, -1e-250, _nudged(1e-250, -1), 1e250,
                      _nudged(1e250, -1), -1e300, _MAX, _TINY]),
 )
@@ -113,7 +113,12 @@ _CSV_VALUES = st.one_of(
 def _csv_tables(draw):
     ncols = draw(st.integers(1, 9))
     nrows = draw(st.integers(1, 30))
-    values = draw(st.lists(_CSV_VALUES, min_size=nrows * ncols, max_size=nrows * ncols))
+    n = nrows * ncols
+    values = draw(st.lists(_CSV_VALUES, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        # zero-heavy, as --vectors state files are: about 2/3 of the fields +-0
+        zeros = draw(st.lists(st.sampled_from([None, 0.0, -0.0]), min_size=n, max_size=n))
+        values = [v if z is None else z for v, z in zip(values, zeros)]
     return Table(columns=[f"c{j}" for j in range(ncols)], rows=np.reshape(values, (nrows, ncols)))
 
 
