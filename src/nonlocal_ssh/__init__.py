@@ -9,19 +9,14 @@ chains, and analytic zero-energy edge modes on the discretization grid.
 from .bulk import (
     BandPoint,
     ZakResult,
-    bloch_matrix,
-    bloch_state,
     energy_bands,
     phase_phi,
-    wilson_loop_phase,
     zak_analytic,
     zak_wilson,
 )
 from .approx import (
     BerryIntegralResult,
     approx_bands,
-    approx_eigvec,
-    approx_matrix,
     berry_integral,
     comparison_table,
 )
@@ -29,7 +24,6 @@ from .edge import (
     EdgeLabels,
     ZeroModeAnalytic,
     build_zero_mode,
-    count_admissible_labels,
     localization_fit,
     operator_residual,
     zero_mode_exponents,
@@ -45,14 +39,13 @@ from .finite import (
     spectrum,
     ssh_spectrum,
 )
-from .model import BlochState, BulkParams, FiniteParams, Grid, SpinorGrid, make_grid
+from .model import BulkParams, FiniteParams, Grid, SpinorGrid, make_grid
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BandPoint",
     "BerryIntegralResult",
-    "BlochState",
     "BulkParams",
     "EdgeLabels",
     "FiniteOperator",
@@ -66,17 +59,12 @@ __all__ = [
     "ZakResult",
     "ZeroModeAnalytic",
     "approx_bands",
-    "approx_eigvec",
-    "approx_matrix",
     "berry_integral",
-    "bloch_matrix",
-    "bloch_state",
     "build_finite",
     "build_zero_mode",
     "chain_decomposition",
     "comparison_table",
     "compare_ssh",
-    "count_admissible_labels",
     "decoupled_spectrum",
     "energy_bands",
     "localization_fit",
@@ -85,7 +73,6 @@ __all__ = [
     "phase_phi",
     "spectrum",
     "ssh_spectrum",
-    "wilson_loop_phase",
     "zak_analytic",
     "zak_wilson",
     "zero_mode_exponents",

@@ -27,6 +27,7 @@ the origin, i.e. -pi*Theta(w(v+w)), which reduces to the familiar
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,7 @@ from .errors import (
     UnsupportedOrder,
     ValidationError,
 )
-from .model import BlochState, BulkParams, _require_finite, band_sign, wrap_angle
+from .model import BulkParams, _require_finite, band_sign, wrap_angle
 
 ORDERS = (0, 1, 2)
 
@@ -66,41 +67,21 @@ def _b_numerator(params: BulkParams, order: int, k):
     return (v + w) - 0.5 * w * (a * k) ** 2 + 1j * a * w * k
 
 
-def approx_matrix(params: BulkParams, order: int, k: float) -> np.ndarray:
-    """2x2 momentum-space matrix of the order-n truncation."""
-    _check_order(order)
-    z = complex(_b_numerator(params, order, k))
-    return np.array([[0.0, np.conj(z)], [z, 0.0]], dtype=complex)
-
-
 def approx_bands(params: BulkParams, order: int, k) -> BandPoint:
     """Truncated band energies +-|z(k)| (scalar or array k).
 
     |z| is taken on the couplings scaled by bulk._scaled and scaled back,
     which is exact; bands beyond the float64 range are a NumericalError.
+    A term that overflows (order 2 squares ak) gives an inf or NaN that
+    _rescaled refuses, without a floating-point warning.
     """
     _check_order(order)
     k = np.asarray(k, dtype=float)
     s, scaled = _scaled(params)
-    e = _rescaled(s, np.abs(_b_numerator(scaled, order, k)), params, f"the order-{order} bands")
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _b_numerator(scaled, order, k)
+    e = _rescaled(s, np.abs(z), params, f"the order-{order} bands")
     return BandPoint(k=k, e_minus=-e, e_plus=e)
-
-
-def approx_eigvec(params: BulkParams, order: int, band: str, k: float) -> BlochState:
-    """Normalized eigenvector (1, z/E)/sqrt(2) of the order-n truncation.
-
-    |z| = |E| makes the stated form unit-norm already; it is renormalized
-    anyway so the constructor's norm check reflects arithmetic only.
-    """
-    _check_order(order)
-    s = band_sign(band)
-    z = complex(_b_numerator(params, order, k))
-    e = s * abs(z)
-    if abs(e) < GAP_ABS_TOL:
-        raise GapClosure(f"order-{order} bands touch zero at k = {k}")
-    vec = np.array([1.0, z / e], dtype=complex) / np.sqrt(2.0)
-    vec /= np.linalg.norm(vec)
-    return BlochState(k=float(k), band=band, u_a=complex(vec[0]), u_b=complex(vec[1]))
 
 
 @dataclass(frozen=True)
@@ -138,7 +119,9 @@ def berry_integral(
     in u_B cancels in <u|du>); the band argument is validated and otherwise
     unused.
 
-    cutoff_k defaults to 1e4/a; a NaN or infinite one is a ValidationError.
+    cutoff_k defaults to 1e4/a; a NaN or infinite one is a ValidationError,
+    and so is one whose 2K or 2aK leaves the float64 range (a sample of the
+    order-1 z(k) reaches a*w*K with |w| < 2 after scaling).
     It must be at least 100/a, and for order 2 it must also clear the
     axis-crossing scale sqrt(2(v+w)/w)/a, otherwise CutoffTooSmall is raised.
     For order 2 the spacing a*2K/(nk-1) must stay below max(1, sqrt(2(v+w)/w))
@@ -164,6 +147,11 @@ def berry_integral(
     if cutoff_k is None:
         cutoff_k = BERRY_DEFAULT_CUTOFF / a
     _require_finite(cutoff_k=cutoff_k)
+    if not (math.isfinite(2.0 * cutoff_k) and math.isfinite(2.0 * a * cutoff_k)):
+        raise ValidationError(
+            f"cutoff_k = {cutoff_k!r} at a = {a!r}: 2*cutoff_k and 2*a*cutoff_k "
+            "must stay in the float64 range"
+        )
     if cutoff_k * a < BERRY_MIN_CUTOFF:
         raise CutoffTooSmall(f"cutoff_k must be >= {BERRY_MIN_CUTOFF}/a")
     if nk < 1001:

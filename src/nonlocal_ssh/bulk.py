@@ -25,15 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CriticalPoint, GapClosure, NumericalError, ValidationError
-from .model import (
-    EPS,
-    BlochState,
-    BulkParams,
-    band_sign,
-    wrap_angle,
-)
+from .model import EPS, BulkParams, band_sign, wrap_angle
 
-# |h(k)| below this is treated as a closed gap (phases undefined)
+# |h(k)| below this, on couplings scaled by _scaled, is a closed gap (phases
+# undefined)
 GAP_ABS_TOL = 1e-12
 
 # Wilson loop refuses when the sampled gap dips under this times max(|v|,|w|)
@@ -62,12 +57,6 @@ class ZakResult:
     value: float
     classification: str
     k_points: int
-
-
-def bloch_matrix(params: BulkParams, k: float) -> np.ndarray:
-    """2x2 Bloch Hamiltonian at momentum k."""
-    h = params.v + params.w * np.exp(-1j * params.a * k)
-    return np.array([[0.0, h], [np.conj(h), 0.0]], dtype=complex)
 
 
 def _scaled(params: BulkParams) -> tuple[float, BulkParams]:
@@ -116,27 +105,26 @@ def phase_phi(params: BulkParams, k):
     exactly-on-the-cut momenta on a random side; imaginary parts below that
     noise floor are snapped to +0 before arctan2, which realizes the
     convention in floating point.
+
+    The phase is taken on the couplings scaled by _scaled, which leaves it
+    as it is, so the gap test is |h| < 1e-12 * s with the power of two
+    s <= max(|v|, |w|) < 2s, and a gapped h gets its phase at any magnitude.
     """
     k = np.asarray(k, dtype=float)
-    v, w, a = params.v, params.w, params.a
+    s, scaled = _scaled(params)
+    v, w, a = scaled.v, scaled.w, scaled.a
     ak = a * k
     x = v + w * np.cos(ak)
     y = -w * np.sin(ak)
     noise = 16.0 * EPS * abs(w) * np.maximum(1.0, np.abs(ak))
     y = np.where(np.abs(y) <= noise, 0.0, y)
     if np.any(np.hypot(x, y) < GAP_ABS_TOL):
-        raise GapClosure("|v + w e^{-iak}| < 1e-12: phase undefined")
+        raise GapClosure(
+            f"|v + w e^{{-iak}}| < 1e-12 * {s!r} at v = {params.v!r}, w = {params.w!r}: "
+            "phase undefined"
+        )
     phi = np.arctan2(y, x)
     return phi if phi.ndim else float(phi)
-
-
-def bloch_state(params: BulkParams, k: float, band: str) -> BlochState:
-    """Normalized Bloch eigenvector at momentum k for one band."""
-    s = band_sign(band)
-    phi = phase_phi(params, k)
-    u_a = np.exp(0.5j * phi) / np.sqrt(2.0)
-    u_b = s * np.exp(-0.5j * phi) / np.sqrt(2.0)
-    return BlochState(k=float(k), band=band, u_a=complex(u_a), u_b=complex(u_b))
 
 
 def zak_analytic(params: BulkParams) -> ZakResult:
@@ -166,52 +154,49 @@ def _overlap_product(states: np.ndarray, prod: complex) -> complex:
     return np.multiply.reduce(overlaps, initial=prod)
 
 
-def wilson_loop_phase(states: np.ndarray) -> float:
-    """-Im log of the cyclic product of neighbor overlaps <u_j|u_{j+1}>.
-
-    states: (N, 2) array of normalized spinors sampled around a closed loop
-    (the wrap from the last point back to the first is included here).
-    Gauge invariant: each state enters once as bra and once as ket.
-    """
-    states = np.asarray(states, dtype=complex)
-    if states.ndim != 2 or states.shape[1] != 2 or states.shape[0] < 2:
-        raise ValidationError("states must be an (N, 2) array with N >= 2")
-    return wrap_angle(-np.angle(_overlap_product(np.concatenate([states, states[:1]]), 1.0 + 0.0j)))
-
-
 def zak_wilson(params: BulkParams, band: str = "plus", nk: int = 2048) -> ZakResult:
     """Zak phase from a Wilson loop over one Brillouin zone.
 
     Uses nk uniformly spaced momenta on [-pi/a, pi/a) (endpoint excluded;
     the loop closes by reusing the first state). Refuses with GapClosure if
-    the sampled gap dips below 1e-8 * max(|v|, |w|).
+    the sampled gap dips below 1e-8 * max(|v|, |w|). The couplings are
+    scaled by _scaled first, as in phase_phi.
+
+    For v*w < 0 the gap is smallest at k = 0, which an odd nk does not
+    sample. The loop counts the phase's turn there only if the phase moves
+    by less than pi between the two samples around k = 0, that is if
+    Re h(k) = v + w cos(pi/nk) there does not have the sign opposite to
+    h(0) = v + w; otherwise nk is refused (ValidationError), as is every odd
+    nk at v = -w. Where Re h(k) = 0 the overlap vanishes (GapClosure).
 
     The zone is swept in chunks of _K_CHUNK momenta, so memory does not
     grow with nk; only the first and last states and the running product
-    pass from one chunk to the next. The refusal is the one a single pass
-    over the whole zone gives: a gap closure anywhere outranks an undefined
-    phase. An overlap vanishes only between the two samples nearest the
-    closest approach to h = 0, so a gap closure or undefined phase there
-    is found in the same chunk or an earlier one, before the overlap.
+    pass from one chunk to the next. An overlap vanishes only between the
+    two samples nearest the closest approach to h = 0, so a gap closure
+    there is found in the same chunk or an earlier one, before the overlap:
+    the refusal is the one a single pass over the whole zone gives.
     """
     s = band_sign(band)
     if nk < WILSON_MIN_POINTS:
         raise ValidationError(f"nk must be >= {WILSON_MIN_POINTS}, got {nk}")
-    v, w, a = params.v, params.w, params.a
+    scaled = _scaled(params)[1]
+    v, w, a = scaled.v, scaled.w, scaled.a
+    h0, x_near = v + w, v + w * math.cos(math.pi / nk)
+    if nk % 2 and v * w < 0.0 and (h0 == 0.0 or x_near * h0 < 0.0):
+        raise ValidationError(
+            f"nk = {nk} cannot resolve the phase at v = {params.v!r}, w = {params.w!r}: "
+            "it turns by pi or more between the two samples around k = 0; "
+            "use an even or a larger nk"
+        )
     gap_tol = WILSON_GAP_RTOL * max(abs(v), abs(w))
-    phase_error = None
     prod = 1.0 + 0.0j
     for start in range(0, nk, _K_CHUNK):
         k = -np.pi / a + (2.0 * np.pi / a) * np.arange(start, min(start + _K_CHUNK, nk)) / nk
         if np.abs(v + w * np.exp(-1j * a * k)).min() < gap_tol:
             raise GapClosure("band gap closes (to sampling accuracy) inside the zone")
-        if phase_error is not None:
-            continue
-        try:
-            phi = phase_phi(params, k)
-        except GapClosure as exc:
-            phase_error = exc
-            continue
+        # max(|v|, |w|) is in [1, 2), so |h| >= 1e-8 here, and phase_phi's snap
+        # moves y by at most 16 eps * 2 * pi ~ 2.2e-14: its 1e-12 gap test passes
+        phi = phase_phi(scaled, k)
         # row 0 holds the previous chunk's last state
         states = np.empty((k.size + 1, 2), dtype=complex)
         states[1:, 0] = np.exp(0.5j * phi)
@@ -224,12 +209,9 @@ def zak_wilson(params: BulkParams, band: str = "plus", nk: int = 2048) -> ZakRes
             first = states[0].copy()
         prod = _overlap_product(states, prod)
         last = states[-1].copy()
-    if phase_error is not None:
-        raise phase_error
     prod = _overlap_product(np.stack([last, first]), prod)  # the wrap
     gamma = wrap_angle(-np.angle(prod))
     dist_topo = abs(wrap_angle(gamma - np.pi))
     dist_triv = abs(wrap_angle(gamma))
     cls = "topological" if dist_topo < dist_triv else "trivial"
     return ZakResult(value=gamma, classification=cls, k_points=nk)
-

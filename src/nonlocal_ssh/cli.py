@@ -25,6 +25,7 @@ import dataclasses
 import functools
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -111,12 +112,21 @@ def _write_table_and_json(table: Table, doc: dict, out: str | None) -> None:
 
 
 def _k_range(args, params: BulkParams) -> tuple[float, float]:
-    """--kmin/--kmax, which must be finite, or one zone [-pi/a, pi/a]."""
+    """--kmin/--kmax, which must be finite, or one zone [-pi/a, pi/a].
+
+    Refused where a*kmin, a*kmax or kmax - kmin leaves the float64 range,
+    which includes the default zone of an a below about 1.7e-308.
+    """
     for flag, val in (("--kmin", args.kmin), ("--kmax", args.kmax)):
         if val is not None and not math.isfinite(val):
             raise ValidationError(f"{flag} must be finite, got {val}")
     kmin = args.kmin if args.kmin is not None else -np.pi / params.a
     kmax = args.kmax if args.kmax is not None else np.pi / params.a
+    if not all(map(math.isfinite, (params.a * kmin, params.a * kmax, kmax - kmin))):
+        raise ValidationError(
+            f"the k range --kmin/--kmax = [{kmin!r}, {kmax!r}] at a = {params.a!r}: "
+            "a*k and kmax - kmin must stay in the float64 range"
+        )
     return kmin, kmax
 
 
@@ -290,8 +300,21 @@ def _emit_envelope(doc: dict, out: str | None) -> None:
         emit_json(doc, sys.stdout)
 
 
+# CPython >= 3.12.7's matcher for option values that are negative numbers;
+# the older one leaves out exponents, so "--w -3e299" read as a missing value
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads "-1e-320" as a number on every Python version."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nonlocal-ssh",
         description="Bands, Zak phases, truncations, and finite-box spectra "
                     "of a dimerized chain with a non-local hop.",

@@ -16,8 +16,7 @@ positive. The hard walls quantize the oscillatory factor: choosing
 zeroes the cosine at x = -L/2 for any label, and at x = +L/2 exactly when
 2 n_s L / a is an integer. n_s = 0 makes the factor vanish identically and
 is rejected. On a grid of step dx only harmonics with n_s <= a/(2 dx) are
-resolvable, so the continuum's countable family collapses to a finite
-budget of labels.
+resolvable; build_zero_mode refuses the others.
 """
 
 from __future__ import annotations
@@ -182,24 +181,3 @@ def localization_fit(grid: Grid, values: np.ndarray, a: float) -> LocalizationFi
         )
     slope, intercept = np.polyfit(locs, np.log(peaks), 1)
     return LocalizationFit(slope=float(slope), intercept=float(intercept), n_peaks=len(peaks))
-
-
-@dataclass(frozen=True)
-class LabelBudget:
-    """Finite label budget per component on a given grid.
-
-    The continuum admits countably many harmonics; the grid resolves
-    n in {1, ..., n_max} with n_max = floor(a / (2 dx)), each in two phase
-    parities (m and m+2 give the same phase mod 2 pi, m and m+1 states
-    differ by an overall sign).
-    """
-
-    n_max: int
-    phase_parities: int
-    total: int
-
-
-def count_admissible_labels(params: FiniteParams) -> LabelBudget:
-    """Distinct (harmonic, phase parity) classes representable per component."""
-    n_max = int(np.floor(params.a / (2.0 * params.dx) + 1e-9))
-    return LabelBudget(n_max=n_max, phase_parities=2, total=2 * n_max)

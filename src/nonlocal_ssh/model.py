@@ -1,4 +1,4 @@
-"""Parameter sets, grids, and spinor containers.
+"""Parameter sets, grids, and the grid spinor container.
 
 The model lives on two sublattices A and B. In the bulk it is parametrized
 by (v, w, a): v is the local A-B coupling, w the non-local coupling acting
@@ -112,9 +112,6 @@ class FiniteParams:
         """P = L/dx + 1 grid points per sublattice."""
         return round(self.L / self.dx) + 1
 
-    def bulk(self) -> BulkParams:
-        return BulkParams(v=self.v0, w=self.w0, a=self.a)
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -153,22 +150,3 @@ class SpinorGrid:
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.psi_a) ** 2) + np.sum(np.abs(self.psi_b) ** 2)))
-
-
-@dataclass(frozen=True)
-class BlochState:
-    """Normalized two-component Bloch eigenvector at one momentum."""
-
-    k: float
-    band: str
-    u_a: complex
-    u_b: complex
-
-    def __post_init__(self) -> None:
-        band_sign(self.band)
-        nrm = abs(self.u_a) ** 2 + abs(self.u_b) ** 2
-        if abs(nrm - 1.0) > 1e-12:
-            raise ValidationError(f"Bloch spinor norm {nrm} deviates from 1")
-
-    def vector(self) -> np.ndarray:
-        return np.array([self.u_a, self.u_b], dtype=complex)

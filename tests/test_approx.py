@@ -10,8 +10,6 @@ from nonlocal_ssh.approx import (
     BERRY_DEFAULT_CUTOFF,
     _b_numerator,
     approx_bands,
-    approx_eigvec,
-    approx_matrix,
     berry_integral,
     comparison_table,
 )
@@ -74,31 +72,32 @@ def test_second_order_closer_near_zone_center():
     assert np.all(np.abs(e2 - e) <= np.abs(e1 - e) + 1e-15)
 
 
+def _matrix(params, order, k):
+    # H_n(k) = [[0, conj(z)], [z, 0]] with z the test's own numerator
+    z = _numerator(params, order, k)
+    return np.array([[0.0, np.conj(z)], [z, 0.0]])
+
+
 def test_matrix_and_numerator():
-    for order in (0, 1, 2):
-        for k in (-1.3, 0.2, 2.9):
-            h = approx_matrix(P, order, k)
-            z = _numerator(P, order, k)
-            assert h[1, 0] == pytest.approx(z)
-            assert h[0, 1] == pytest.approx(np.conj(z))
-            assert h[0, 0] == h[1, 1] == 0.0
+    # the bands are the eigenvalues of the matrix built from _numerator
+    for p in (P, BulkParams(v=2.0, w=-1.0, a=0.3), BulkParams(v=-0.5, w=1.0, a=2.0)):
+        for order in (0, 1, 2):
+            for k in (-1.3, 0.2, 2.9):
+                bp = approx_bands(p, order, k)
+                lam = np.linalg.eigvalsh(_matrix(p, order, k))
+                assert lam == pytest.approx([bp.e_minus, bp.e_plus], rel=1e-14, abs=1e-15)
 
 
 def test_eigvec_residual():
+    # u(+-) = (1, z/E(+-)) / sqrt(2) with E(+-) from approx_bands solves H u = E u
     for order in (0, 1, 2):
         for k in (-2.0, 0.4, 1.7):
-            h = approx_matrix(P, order, k)
-            for band, sgn in (("plus", 1.0), ("minus", -1.0)):
-                st = approx_eigvec(P, order, band, k)
-                u = st.vector()
-                lam = sgn * approx_bands(P, order, k).e_plus
+            h = _matrix(P, order, k)
+            bp = approx_bands(P, order, k)
+            for lam in (bp.e_plus, bp.e_minus):
+                u = np.array([1.0, _numerator(P, order, k) / lam]) / np.sqrt(2.0)
                 assert np.linalg.norm(h @ u - lam * u) < 1e-12
                 assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_eigvec_gap_closure():
-    with pytest.raises(GapClosure):
-        approx_eigvec(BulkParams(v=-1.0, w=1.0, a=1.0), 1, "plus", 0.0)
 
 
 def _winding_oracle(params, order):
@@ -211,7 +210,8 @@ def test_berry_gauge_dependence_of_open_line_integral():
     # the closed Wilson loop it is not gauge invariant
     K, nk = 50.0, 8001
     k = np.linspace(-K, K, nk)
-    states = np.stack([approx_eigvec(P, 1, "plus", kk).vector() for kk in k])
+    z = _numerator(P, 1, k)
+    states = np.stack([np.ones(nk), z / np.abs(z)], axis=1) / np.sqrt(2.0)
     ov = np.sum(np.conj(states[:-1]) * states[1:], axis=1)
     base = -np.sum(np.angle(ov))
     alpha = np.arctan(P.a * k)
@@ -250,6 +250,19 @@ def test_berry_validation():
     with pytest.raises(GapClosure):
         berry_integral(BulkParams(v=1.0, w=-1.0, a=1.0), 1)
     assert berry_integral(P, 1).cutoff_k == pytest.approx(BERRY_DEFAULT_CUTOFF / P.a)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_samples_refused_cleanly():
+    # a cutoff whose 2K or 2aK overflows used to reach the sampling loop and
+    # die there with a ValueError on a NaN wrap count
+    for order, cutoff_k, a in ((1, 1e308, 1.0), (2, 1e308, 1.0), (1, 1e307, 10.0)):
+        with pytest.raises(ValidationError, match="2\\*cutoff_k and 2\\*a\\*cutoff_k"):
+            berry_integral(BulkParams(v=0.5, w=1.0, a=a), order, cutoff_k=cutoff_k)
+    # (ak)^2 overflows: the band is beyond the float64 range, refused without
+    # an overflow warning
+    with pytest.raises(NumericalError, match="order-2 bands at v = 0.5, w = 1.0 exceed"):
+        approx_bands(P, 2, np.array([0.0, 1e200]))
 
 
 def test_comparison_table():

@@ -5,15 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonlocal_ssh.bulk import (
-    bloch_matrix,
-    bloch_state,
-    energy_bands,
-    phase_phi,
-    wilson_loop_phase,
-    zak_analytic,
-    zak_wilson,
-)
+from nonlocal_ssh import bulk
+from nonlocal_ssh.bulk import energy_bands, phase_phi, zak_analytic, zak_wilson
 from nonlocal_ssh.errors import CriticalPoint, GapClosure, NumericalError, ValidationError
 from nonlocal_ssh.model import BulkParams, wrap_angle
 
@@ -108,17 +101,36 @@ def test_phase_gap_closure():
         phase_phi(p, 0.0)
 
 
+def test_phase_at_any_coupling_magnitude():
+    # the gap test is relative to the couplings: gapped ones get their phase
+    # down to the subnormal range, bit for bit that of v = 1, w = 3
+    k = np.linspace(-np.pi, np.pi, 65)
+    ref = phase_phi(BulkParams(v=1.0, w=3.0, a=1.0), k)
+    for scale in (2.0**-1060, 2.0**-1000, 2.0**-40, 2.0**1000):
+        assert np.array_equal(phase_phi(BulkParams(v=scale, w=3.0 * scale, a=1.0), k), ref)
+    assert zak_wilson(BulkParams(v=1e-310, w=1e-309, a=1.0)).classification == "topological"
+    with pytest.raises(GapClosure, match=re.escape("at v = -1e-320, w = 1e-320: phase undefined")):
+        phase_phi(BulkParams(v=-1e-320, w=1e-320, a=1.0), k)
+
+
+def _bloch_matrix(p, k):
+    # H(k) = [[0, h], [conj(h), 0]] with h(k) = v + w e^{-iak}, from the paper
+    h = p.v + p.w * np.exp(-1j * p.a * k)
+    return np.array([[0.0, h], [np.conj(h), 0.0]])
+
+
 def test_bloch_state_is_eigenvector():
-    for k in (-2.1, 0.0, 0.7, np.pi):
-        h = bloch_matrix(P_TOPO, k)
-        for band, e in (("plus", 1), ("minus", -1)):
-            st = bloch_state(P_TOPO, k, band)
-            u = st.vector()
-            lam = e * energy_bands(P_TOPO, k).e_plus
-            assert np.linalg.norm(h @ u - lam * u) < 1e-12
-    up = bloch_state(P_TOPO, 0.7, "plus").vector()
-    um = bloch_state(P_TOPO, 0.7, "minus").vector()
-    assert abs(np.vdot(up, um)) < 1e-13
+    # u(+-) = (e^{i phi/2}, +-e^{-i phi/2}) / sqrt(2) from phase_phi, with
+    # E(+-) = +-e_plus from energy_bands, solves H(k) u = E u
+    for p in (P_TOPO, P_TRIV, BulkParams(v=-1.2, w=0.4, a=2.2)):
+        for k in (-2.1, 0.0, 0.7, np.pi / p.a, *RNG.uniform(-5, 5, 8)):
+            phi = phase_phi(p, k)
+            e = energy_bands(p, k).e_plus
+            u = {s: np.array([np.exp(0.5j * phi), s * np.exp(-0.5j * phi)]) / np.sqrt(2.0)
+                 for s in (1.0, -1.0)}
+            for s in (1.0, -1.0):
+                assert np.linalg.norm(_bloch_matrix(p, k) @ u[s] - s * e * u[s]) < 1e-12
+            assert abs(np.vdot(u[1.0], u[-1.0])) < 1e-15
 
 
 def test_zak_analytic_cases():
@@ -168,6 +180,28 @@ def test_zak_wilson_both_bands_agree():
     assert abs(np.angle(np.exp(1j * (gp - gm)))) < 1e-6
 
 
+def test_zak_wilson_odd_grid_around_the_gap_minimum():
+    # v*w < 0 puts the gap minimum at k = 0, midway between two samples of an
+    # odd grid; where the phase turns by pi or more between them the loop
+    # missed the turn and answered 0 for a topological chain; it now refuses
+    refused = 0
+    for nk in (17, 33, 101):
+        for r in 1.0 - np.geomspace(1e-12, 0.2, 60):
+            for v, w in ((r, -1.0), (-r, 1.0), (1.0, -r)):
+                p = BulkParams(v=v, w=w, a=0.7)
+                try:
+                    got = zak_wilson(p, nk=nk).value
+                except ValidationError as exc:
+                    assert f"nk = {nk} cannot resolve the phase" in str(exc)
+                    assert abs(p.v) < abs(p.w)
+                    refused += 1
+                    continue
+                assert abs(wrap_angle(got - zak_analytic(p).value)) < 1e-6
+    assert refused > 100
+    with pytest.raises(ValidationError, match="at v = 1.0, w = -1.0"):
+        zak_wilson(BulkParams(v=1.0, w=-1.0, a=1.0), nk=17)
+
+
 def test_zak_wilson_validation():
     with pytest.raises(ValidationError):
         zak_wilson(P_TOPO, nk=8)
@@ -175,26 +209,33 @@ def test_zak_wilson_validation():
         zak_wilson(BulkParams(v=1.0, w=-1.0, a=1.0))
 
 
-def test_wilson_loop_gauge_invariance():
-    nk = 512
-    k = -np.pi + 2 * np.pi * np.arange(nk) / nk
-    states = np.stack(
-        [bloch_state(P_TOPO, kk, "plus").vector() for kk in k], axis=0
-    )
-    base = wilson_loop_phase(states)
-    # random U(1) gauge per k point cancels around the loop; both phases
-    # sit on the +-pi cut, where rounding may land on either side, and the
-    # Zak phase is defined modulo 2 pi
+def test_wilson_loop_gauge_invariance(monkeypatch):
+    # phi + 2 pi flips the sign of both components of u: a random +-1 gauge
+    # per k point, which the overlaps around the closed loop cancel; the
+    # phases sit on the +-pi cut, and the Zak phase is defined modulo 2 pi
+    cases = [(p, band) for p in (P_TOPO, P_TRIV, BulkParams(v=1.0, w=-2.0, a=0.4))
+             for band in ("plus", "minus")]
+    want = [zak_wilson(p, band=band, nk=512).value for p, band in cases]
     rng = np.random.default_rng(512)
-    gauged = states * np.exp(1j * rng.uniform(0, 2 * np.pi, nk))[:, None]
-    assert abs(wrap_angle(wilson_loop_phase(gauged) - base)) < 1e-10
-    with pytest.raises(ValidationError):
-        wilson_loop_phase(states[:1])
+    phase = bulk.phase_phi
+    monkeypatch.setattr(bulk, "phase_phi",
+                        lambda p, k: phase(p, k) + 2.0 * np.pi * rng.integers(0, 2, np.size(k)))
+    for (p, band), gamma in zip(cases, want):
+        assert abs(wrap_angle(zak_wilson(p, band=band, nk=512).value - gamma)) < 1e-10
 
 
 def test_parity_relation():
-    # inversion sigma_x H(-k) sigma_x = H(k), exact: conjugating by sigma_x
-    # reverses both axes of the 2x2 matrix
-    for k in RNG.uniform(-5, 5, 16):
-        for p in (P_TOPO, BulkParams(v=-1.2, w=0.4, a=2.2)):
-            assert np.array_equal(bloch_matrix(p, -k)[::-1, ::-1], bloch_matrix(p, k))
+    # inversion sigma_x H(-k) sigma_x = H(k) takes h(k) to conj(h(-k)), so the
+    # bands are even in k and phi is odd, exactly, except on the cut, where
+    # the branch convention gives +pi on both sides
+    k = np.concatenate([RNG.uniform(-20, 20, 256), np.pi * np.arange(-4, 5)])
+    on_cut = 0
+    for p in (P_TOPO, P_TRIV, BulkParams(v=-1.2, w=0.4, a=2.2), BulkParams(v=3e-300, w=-1e-299, a=0.3)):
+        ka = k / p.a
+        assert np.array_equal(energy_bands(p, -ka).e_plus, energy_bands(p, ka).e_plus)
+        phi, phi_minus = phase_phi(p, ka), phase_phi(p, -ka)
+        cut = phi == np.pi
+        assert np.array_equal(phi_minus[~cut], -phi[~cut])
+        assert np.all(phi_minus[cut] == np.pi)
+        on_cut += cut.sum()
+    assert on_cut > 0

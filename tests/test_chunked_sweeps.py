@@ -200,12 +200,10 @@ def test_small_chunks_match_one_pass(monkeypatch, chunk):
 
 
 @pytest.mark.parametrize("v, w, nk, message", [
-    # v = -w closes the gap at k = 0, sample nk/2 = 2^17: in the third chunk
+    # v = -w closes the gap at k = 0, sample nk/2 = 2^17: in the third chunk,
+    # at any magnitude of the couplings
     (1.0, -1.0, 2 ** 18, "band gap closes"),
-    # |v + w e^{-iak}| < 1e-12 everywhere, but the gap closure in the third
-    # chunk outranks the undefined phase found in the first
     (1e-13, -1e-13, 2 ** 18, "band gap closes"),
-    (1e-13, 2e-13, 2 * CHUNK + 3, "phase undefined"),
     # k = 0 falls midway between samples CHUNK - 1 and CHUNK, whose states
     # are orthogonal: the vanishing overlap spans a chunk boundary
     (-np.cos(np.pi / (2 * CHUNK - 1)), 1.0, 2 * CHUNK - 1, "vanishing overlap"),
@@ -216,6 +214,20 @@ def test_zak_refusals_in_later_chunks(v, w, nk, message):
     got = _outcome(bulk.zak_wilson, p, nk=nk)
     assert got[0] == "GapClosure" and message in got[1]
     _same(got, _outcome(_zak_reference, p, "plus", nk))
+
+
+@pytest.mark.parametrize("v, w, nk", [
+    (1e-13, 2e-13, 2 * CHUNK + 3),
+    (1e-310, -1e-309, CHUNK + 1),
+    (-3e-320, 1e-320, 4096),
+])
+def test_zak_tiny_couplings_match_one_pass(v, w, nk):
+    # |v + w e^{-iak}| is below 1e-12 everywhere; the loop samples the scaled
+    # couplings, so these gapped ones are answered, which they were not
+    p = BulkParams(v=v, w=w, a=1.0)
+    got = _outcome(bulk.zak_wilson, p, nk=nk)
+    _same(got, _outcome(_zak_reference, p, "plus", nk))
+    assert abs(wrap_angle(got[0] - bulk.zak_analytic(p).value)) < 1e-6
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -251,17 +263,6 @@ def test_overlap_product_chains_bit_for_bit():
             prod = bulk._overlap_product(states[lo:hi + 1], prod)  # neighbors share a state
             lo = hi
         assert repr(prod) == repr(whole)
-
-
-def test_wilson_loop_phase_matches_one_pass():
-    for n in (2, 3, 17, 512):
-        for _ in range(5):
-            states = RNG.normal(size=(n, 2)) + 1j * RNG.normal(size=(n, 2))
-            states /= np.linalg.norm(states, axis=1)[:, None]
-            assert repr(bulk.wilson_loop_phase(states)) == repr(_wilson_loop_phase_reference(states))
-    up = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
-    with pytest.raises(GapClosure, match="vanishing overlap"):
-        bulk.wilson_loop_phase(up)
 
 
 def test_berry_error_is_rounding_floor():

@@ -513,6 +513,52 @@ def test_levels_beyond_float_max_refused(tmp_path, capsys, argv, to_file):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, code, message", [
+    # gapped couplings below ~1e-12 used to fail the phase's absolute gap test
+    ("bands --v 1e-320 --w 3e-320 --a 1 --samples 5", 0, None),
+    ("zak --v 1e-310 --w 1e-309 --a 1", 0, None),
+    ("bands --v=-1e-320 --w 1e-320 --a 1 --samples 5", 3, "at v = -1e-320, w = 1e-320: phase undefined"),
+    # a*k, kmax - kmin or 2K beyond the float64 range: numpy warnings, then a
+    # wrong reason or a ValueError traceback
+    ("bands --v 0.5 --w 1 --a 1e10 --kmax 1e300 --samples 5", 2, "--kmin/--kmax"),
+    ("bands --v 0.5 --w 1 --a 1 --kmin -1e308 --kmax 1e308", 2, "kmax - kmin"),
+    ("berry --v 0.5 --w 1 --a 1 --order 1 --cutoff-k 1e308", 2, "2*cutoff_k and 2*a*cutoff_k"),
+    ("approx --v 0.5 --w 1 --a 1 --order 2 --kmax 1e200", 3, "order-2 bands at v = 0.5"),
+    # negative values in exponent notation, each its own token, used to read
+    # as a missing value on Python < 3.12.7
+    ("bands --v 1e308 --w -3e299 --a 1", 0, None),
+    ("zak --v -1e-320 --w 1e-320 --a 1", 3, "band gap closes"),
+    # an odd nk misses the gap minimum at k = 0 for v*w < 0: the critical
+    # point and near-critical topological chains were answered "trivial"
+    ("zak --v 1 --w -1 --a 1 --nk 17", 2, "nk = 17 cannot resolve the phase"),
+    ("zak --v 0.999 --w -1 --a 1 --nk 17", 2, "nk = 17 cannot resolve the phase"),
+])
+def test_extreme_inputs_answer_or_refuse_cleanly(capsys, argv, code, message):
+    assert cli.main(argv.split()) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and len(err.splitlines()) == 1 and message in err
+    else:
+        assert out and "Warning" not in err
+
+
+def test_tiny_and_negative_exponent_couplings_answered(capsys):
+    assert cli.main(["bands", "--v", "1e-320", "--w", "3e-320", "--a", "1", "--samples", "5"]) == 0
+    _, data = _rows(capsys.readouterr().out)
+    s = 2.0 ** -1060  # v and w are multiples of 2**-1074: exact after scaling
+    h = 1e-320 / s + 3e-320 / s * np.exp(-1j * data[:, 0])
+    assert np.allclose(np.exp(1j * data[:, 3]), h / np.abs(h), rtol=0, atol=1e-15)
+    assert np.all(data[:, 2] > 0.0)
+    assert cli.main(["zak", "--v", "1e-310", "--w", "1e-309", "--a", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["gamma"] == pytest.approx(np.pi)
+    assert cli.main(["bands", "--v", "1e308", "--w", "-3e299", "--a", "1", "--samples", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(err.splitlines()[0])["inputs"]["w"] == -3e299
+    _, data = _rows(out)
+    assert data[:, 2] == pytest.approx(np.abs(1e308 - 3e299 * np.exp(-1j * data[:, 0])), rel=1e-15)
+
+
 @pytest.mark.parametrize("command", ["finite", "compare-ssh"])
 def test_underflowing_zero_mode_window_names_inputs(capsys, command):
     # 1e-8 * 1e-320 underflows to 0.0; the refusal names the inputs, not 0.0

@@ -7,7 +7,6 @@ from nonlocal_ssh.edge import (
     COMPONENTS,
     EdgeLabels,
     build_zero_mode,
-    count_admissible_labels,
     localization_fit,
     operator_residual,
     phase_label,
@@ -210,18 +209,6 @@ def test_localization_needs_enough_windows():
     mode = build_zero_mode(small, "A", EdgeLabels(n=3, m=1))
     with pytest.raises(InsufficientPeaks):
         localization_fit(make_grid(small), mode.state.psi_a, small.a)
-
-
-def test_label_budget():
-    budget = count_admissible_labels(BOX)
-    assert budget.n_max == 10
-    assert budget.phase_parities == 2
-    assert budget.total == 20
-    finer = count_admissible_labels(
-        FiniteParams(v0=0.5, w0=1.0, a=0.2, L=10.0, dx=0.005)
-    )
-    assert finer.n_max == 20
-    assert finer.total == 40
 
 
 def test_analytic_modes_live_in_numerical_kernel():

@@ -11,7 +11,6 @@ from nonlocal_ssh.errors import (
     ValidationError,
 )
 from nonlocal_ssh.model import (
-    BlochState,
     BulkParams,
     FiniteParams,
     SpinorGrid,
@@ -54,8 +53,6 @@ def test_finite_grid_derivation():
     p = FiniteParams(v0=0.5, w0=1.0, a=0.2, L=10.0, dx=0.01)
     assert p.hop_steps == 20
     assert p.n_points == 1001
-    b = p.bulk()
-    assert (b.v, b.w, b.a) == (0.5, 1.0, 0.2)
 
 
 def test_finite_validation():
@@ -93,7 +90,7 @@ def test_no_invalid_record_from_a_valid_one():
         dataclasses.replace(box, v0=0.0, w0=0.0)
     # every accepted box, the v0 = 0 one included, has a valid bulk record
     for ok in (box, dataclasses.replace(box, v0=0.0), dataclasses.replace(box, w0=-3.0)):
-        assert ok.bulk() == BulkParams(v=ok.v0, w=ok.w0, a=ok.a)
+        BulkParams(v=ok.v0, w=ok.w0, a=ok.a)
 
 
 def test_grid_is_symmetric():
@@ -113,10 +110,3 @@ def test_spinor_grid_checks():
     assert s.norm() == pytest.approx(np.sqrt(g.n))
     with pytest.raises(GridMismatch):
         SpinorGrid(grid=g, psi_a=psi, psi_b=np.ones(g.n + 1))
-
-
-def test_bloch_state_norm_guard():
-    ok = BlochState(k=0.3, band="plus", u_a=1 / np.sqrt(2), u_b=1j / np.sqrt(2))
-    assert ok.vector().shape == (2,)
-    with pytest.raises(ValidationError):
-        BlochState(k=0.3, band="plus", u_a=1.0, u_b=1.0)
