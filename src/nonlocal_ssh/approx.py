@@ -32,14 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bulk import _K_CHUNK, BandPoint, GAP_ABS_TOL, _rescaled, _scaled, energy_bands
-from .errors import (
-    ConvergenceFailure,
-    CutoffTooSmall,
-    GapClosure,
-    UnsupportedOrder,
-    ValidationError,
-)
+from .bulk import _K_CHUNK, BandPoint, GAP_ABS_TOL, _rescaled, _scaled, _unit_hop, energy_bands
+from .errors import NumericalError, ValidationError
 from .model import BulkParams, _require_finite, band_sign, wrap_angle
 
 ORDERS = (0, 1, 2)
@@ -52,8 +46,19 @@ BERRY_DEFAULT_CUTOFF = 1e4  # in units of 1/a
 
 def _check_order(order: int) -> int:
     if order not in ORDERS:
-        raise UnsupportedOrder(f"truncation order must be one of {ORDERS}, got {order}")
+        raise ValidationError(f"truncation order must be one of {ORDERS}, got {order}")
     return order
+
+
+def _curvature(w: float, ak):
+    """(w/2)(ak)^2, with (w/2)(ak) taken first where that overflows.
+
+    A small w then still gives a term in the float64 range where (ak)^2
+    alone overflows; elsewhere the bits are those of (w/2) times (ak)^2.
+    """
+    curve = 0.5 * w * ak**2
+    wide = ~np.isfinite(curve)
+    return np.where(wide, 0.5 * w * ak * ak, curve) if wide.any() else curve
 
 
 def _b_numerator(params: BulkParams, order: int, k):
@@ -64,7 +69,7 @@ def _b_numerator(params: BulkParams, order: int, k):
         return np.full(k.shape, v + w, dtype=complex)
     if order == 1:
         return (v + w) + 1j * a * w * k
-    return (v + w) - 0.5 * w * (a * k) ** 2 + 1j * a * w * k
+    return (v + w) - _curvature(w, a * k) + 1j * a * w * k
 
 
 def approx_bands(params: BulkParams, order: int, k) -> BandPoint:
@@ -123,14 +128,14 @@ def berry_integral(
     and so is one whose 2K or 2aK leaves the float64 range (a sample of the
     order-1 z(k) reaches a*w*K with |w| < 2 after scaling).
     It must be at least 100/a, and for order 2 it must also clear the
-    axis-crossing scale sqrt(2(v+w)/w)/a, otherwise CutoffTooSmall is raised.
+    axis-crossing scale sqrt(2(v+w)/w)/a, otherwise ValidationError is raised.
     For order 2 the spacing a*2K/(nk-1) must stay below max(1, sqrt(2(v+w)/w))
     too (ValidationError): a coarser grid can step over the whole turn of
     z(k) near k = 0 with every phase step small.
 
     The grid np.linspace(-K, K, nk) is swept in chunks of _K_CHUNK samples.
     Each phase step splits into an integer wrap count rint(step/2pi) and a
-    remainder, which must stay within pi/2 (else ConvergenceFailure). The
+    remainder, which must stay within pi/2 (else NumericalError). The
     running wrap count is exact, so the result does not depend on the chunk
     size, and memory does not grow with nk. z(k) can come near zero only at
     the sample nearest k = 0, and a step above pi/2 then starts or ends on
@@ -141,7 +146,7 @@ def berry_integral(
     """
     band_sign(band)
     if order not in (1, 2):
-        raise UnsupportedOrder(f"Berry integral implemented for orders 1 and 2, got {order}")
+        raise ValidationError(f"Berry integral implemented for orders 1 and 2, got {order}")
     params = _scaled(params)[1]
     v, w, a = params.v, params.w, params.a
     if cutoff_k is None:
@@ -153,14 +158,14 @@ def berry_integral(
             "must stay in the float64 range"
         )
     if cutoff_k * a < BERRY_MIN_CUTOFF:
-        raise CutoffTooSmall(f"cutoff_k must be >= {BERRY_MIN_CUTOFF}/a")
+        raise ValidationError(f"cutoff_k must be >= {BERRY_MIN_CUTOFF}/a")
     if nk < 1001:
         raise ValidationError(f"nk must be >= 1001, got {nk}")
     lo, step = -cutoff_k, (cutoff_k - -cutoff_k) / (nk - 1)
     if order == 2 and w != 0.0:
         crossing = np.sqrt(max(2.0 * (v + w) / w, 0.0))  # |ak| where Re z = 0
         if cutoff_k * a < 10.0 * max(1.0, crossing):
-            raise CutoffTooSmall(
+            raise ValidationError(
                 "cutoff_k too close to the axis-crossing scale sqrt(2(v+w)/w)/a"
             )
         if a * step >= max(1.0, crossing):
@@ -181,7 +186,7 @@ def berry_integral(
             ks[-1] = cutoff_k
         z = _b_numerator(params, order, ks)
         if np.min(np.abs(z)) < gap_tol:
-            raise GapClosure("truncated bands touch zero inside the cutoff")
+            raise NumericalError("truncated bands touch zero inside the cutoff")
         p = np.angle(z)
         if start:
             dd = np.diff(p, prepend=p_last)
@@ -191,7 +196,7 @@ def berry_integral(
             max_abs = abs(p_first)
         turns = np.rint(dd / (2.0 * np.pi))
         if np.abs(dd - 2.0 * np.pi * turns).max() > 0.5 * np.pi:
-            raise ConvergenceFailure("k sampling too coarse to track the phase winding")
+            raise NumericalError("k sampling too coarse to track the phase winding")
         np.cumsum(turns, out=turns)
         turns += wraps
         theta = p[p.size - turns.size:] - 2.0 * np.pi * turns
@@ -210,10 +215,13 @@ def comparison_table(params: BulkParams, k_samples: int = 401):
     """All truncated bands next to the exact ones on one zone of ka.
 
     Returns (columns, rows): column names and an (k_samples, 9) array with
-    ka in [-pi, pi] followed by the order-0/1/2 and exact band pairs.
+    ka in [-pi, pi] followed by the order-0/1/2 and exact band pairs. k is
+    sampled with a scaled by bulk._unit_hop, which leaves every a*k as it
+    is and keeps k finite at any a.
     """
     if k_samples < 2:
         raise ValidationError(f"k_samples must be >= 2, got {k_samples}")
+    params = _unit_hop(params)
     ka = np.linspace(-np.pi, np.pi, k_samples)
     k = ka / params.a
     cols = ["ka"]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CriticalPoint, GapClosure, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .model import EPS, BulkParams, band_sign, wrap_angle
 
 # |h(k)| below this, on couplings scaled by _scaled, is a closed gap (phases
@@ -68,6 +68,16 @@ def _scaled(params: BulkParams) -> tuple[float, BulkParams]:
     """
     s = math.ldexp(1.0, math.frexp(max(abs(params.v), abs(params.w)))[1] - 1)
     return s, dataclasses.replace(params, v=params.v / s, w=params.w / s)
+
+
+def _unit_hop(params: BulkParams) -> BulkParams:
+    """The record with a times the power of two that puts it in [1, 2).
+
+    The scaling is exact, so on a zone sampled as multiples of 1/a every
+    a*k keeps its bits, and the zone's bounds +-pi/a stay in the float64
+    range at any a.
+    """
+    return dataclasses.replace(params, a=math.ldexp(params.a, 1 - math.frexp(params.a)[1]))
 
 
 def _rescaled(s: float, e: np.ndarray, params: BulkParams, what: str) -> np.ndarray:
@@ -119,7 +129,7 @@ def phase_phi(params: BulkParams, k):
     noise = 16.0 * EPS * abs(w) * np.maximum(1.0, np.abs(ak))
     y = np.where(np.abs(y) <= noise, 0.0, y)
     if np.any(np.hypot(x, y) < GAP_ABS_TOL):
-        raise GapClosure(
+        raise NumericalError(
             f"|v + w e^{{-iak}}| < 1e-12 * {s!r} at v = {params.v!r}, w = {params.w!r}: "
             "phase undefined"
         )
@@ -132,11 +142,11 @@ def zak_analytic(params: BulkParams) -> ZakResult:
 
     0 for |v| > |w|, pi for |v| < |w| (the principal representative in
     (-pi, pi]; which band carries +pi and which -pi is a gauge choice, and
-    the two coincide mod 2*pi). Raises CriticalPoint at |v| = |w|.
+    the two coincide mod 2*pi). Raises NumericalError at |v| = |w|.
     """
     av, aw = abs(params.v), abs(params.w)
     if av == aw:
-        raise CriticalPoint("|v| = |w|: gap closes, Zak phase undefined")
+        raise NumericalError("|v| = |w|: gap closes, Zak phase undefined")
     value = np.pi if av < aw else 0.0
     cls = "topological" if av < aw else "trivial"
     return ZakResult(value=float(value), classification=cls, k_points=0)
@@ -150,7 +160,7 @@ def _overlap_product(states: np.ndarray, prod: complex) -> complex:
     """
     overlaps = np.sum(np.conj(states[:-1]) * states[1:], axis=1)
     if np.any(np.abs(overlaps) < 1e-12):
-        raise GapClosure("vanishing overlap between neighboring states")
+        raise NumericalError("vanishing overlap between neighboring states")
     return np.multiply.reduce(overlaps, initial=prod)
 
 
@@ -158,7 +168,7 @@ def zak_wilson(params: BulkParams, band: str = "plus", nk: int = 2048) -> ZakRes
     """Zak phase from a Wilson loop over one Brillouin zone.
 
     Uses nk uniformly spaced momenta on [-pi/a, pi/a) (endpoint excluded;
-    the loop closes by reusing the first state). Refuses with GapClosure if
+    the loop closes by reusing the first state). Refuses with NumericalError if
     the sampled gap dips below 1e-8 * max(|v|, |w|). The couplings are
     scaled by _scaled first, as in phase_phi.
 
@@ -167,7 +177,9 @@ def zak_wilson(params: BulkParams, band: str = "plus", nk: int = 2048) -> ZakRes
     by less than pi between the two samples around k = 0, that is if
     Re h(k) = v + w cos(pi/nk) there does not have the sign opposite to
     h(0) = v + w; otherwise nk is refused (ValidationError), as is every odd
-    nk at v = -w. Where Re h(k) = 0 the overlap vanishes (GapClosure).
+    nk at v = -w. Where Re h(k) = 0 the overlap vanishes (NumericalError).
+    The zone is sampled with a scaled by _unit_hop, which leaves every a*k
+    as it is and keeps the momenta finite at any a.
 
     The zone is swept in chunks of _K_CHUNK momenta, so memory does not
     grow with nk; only the first and last states and the running product
@@ -179,7 +191,7 @@ def zak_wilson(params: BulkParams, band: str = "plus", nk: int = 2048) -> ZakRes
     s = band_sign(band)
     if nk < WILSON_MIN_POINTS:
         raise ValidationError(f"nk must be >= {WILSON_MIN_POINTS}, got {nk}")
-    scaled = _scaled(params)[1]
+    scaled = _unit_hop(_scaled(params)[1])
     v, w, a = scaled.v, scaled.w, scaled.a
     h0, x_near = v + w, v + w * math.cos(math.pi / nk)
     if nk % 2 and v * w < 0.0 and (h0 == 0.0 or x_near * h0 < 0.0):
@@ -193,7 +205,7 @@ def zak_wilson(params: BulkParams, band: str = "plus", nk: int = 2048) -> ZakRes
     for start in range(0, nk, _K_CHUNK):
         k = -np.pi / a + (2.0 * np.pi / a) * np.arange(start, min(start + _K_CHUNK, nk)) / nk
         if np.abs(v + w * np.exp(-1j * a * k)).min() < gap_tol:
-            raise GapClosure("band gap closes (to sampling accuracy) inside the zone")
+            raise NumericalError("band gap closes (to sampling accuracy) inside the zone")
         # max(|v|, |w|) is in [1, 2), so |h| >= 1e-8 here, and phase_phi's snap
         # moves y by at most 16 eps * 2 * pi ~ 2.2e-14: its 1e-12 gap test passes
         phi = phase_phi(scaled, k)

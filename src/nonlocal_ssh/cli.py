@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import approx, bulk, edge, finite
-from .errors import ModelError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .model import BulkParams, FiniteParams
 from .serialize import Table, complex_fields, emit_csv, emit_json, envelope, load_config
 
@@ -114,17 +114,26 @@ def _write_table_and_json(table: Table, doc: dict, out: str | None) -> None:
 def _k_range(args, params: BulkParams) -> tuple[float, float]:
     """--kmin/--kmax, which must be finite, or one zone [-pi/a, pi/a].
 
-    Refused where a*kmin, a*kmax or kmax - kmin leaves the float64 range,
-    which includes the default zone of an a below about 1.7e-308.
+    A default bound is refused, naming --a, where it leaves the float64
+    range, and so is the default zone where its width 2*pi/a does; then
+    the range is refused, naming the flags given, where a*kmin, a*kmax or
+    kmax - kmin does.
     """
-    for flag, val in (("--kmin", args.kmin), ("--kmax", args.kmax)):
-        if val is not None and not math.isfinite(val):
+    given = {flag: val for flag, val in (("--kmin", args.kmin), ("--kmax", args.kmax))
+             if val is not None}
+    for flag, val in given.items():
+        if not math.isfinite(val):
             raise ValidationError(f"{flag} must be finite, got {val}")
+    if len(given) < 2 and not math.isfinite((2 - len(given)) * np.pi / params.a):
+        raise ValidationError(
+            f"the default k range [-pi/a, pi/a] at --a = {params.a!r} "
+            "leaves the float64 range"
+        )
     kmin = args.kmin if args.kmin is not None else -np.pi / params.a
     kmax = args.kmax if args.kmax is not None else np.pi / params.a
     if not all(map(math.isfinite, (params.a * kmin, params.a * kmax, kmax - kmin))):
         raise ValidationError(
-            f"the k range --kmin/--kmax = [{kmin!r}, {kmax!r}] at a = {params.a!r}: "
+            f"the k range {'/'.join(given)} = [{kmin!r}, {kmax!r}] at a = {params.a!r}: "
             "a*k and kmax - kmin must stay in the float64 range"
         )
     return kmin, kmax
@@ -175,15 +184,16 @@ def _cmd_zak(args) -> int:
 
 def _cmd_approx(args) -> int:
     params = _params(args, BulkParams)
-    kmin, kmax = _k_range(args, params)
+    if args.order != "all":
+        kmin, kmax = _k_range(args, params)
+    elif args.kmin is not None or args.kmax is not None:
+        raise ValidationError("--kmin/--kmax need a single --order; "
+                              "the all-orders table spans one zone")
     if args.samples < 2:
         raise ValidationError("--samples must be >= 2")
     inputs = {"command": "approx", **dataclasses.asdict(params),
               "order": args.order, "samples": args.samples}
     if args.order == "all":
-        if args.kmin is not None or args.kmax is not None:
-            raise ValidationError("--kmin/--kmax need a single --order; "
-                                  "the all-orders table spans one zone")
         cols, rows = approx.comparison_table(params, k_samples=args.samples)
         table = Table(columns=cols, rows=rows)
     else:
@@ -199,6 +209,10 @@ def _cmd_approx(args) -> int:
 
 def _cmd_berry(args) -> int:
     params = _params(args, BulkParams)
+    if args.cutoff_k is None and not math.isfinite(2.0 * approx.BERRY_DEFAULT_CUTOFF / params.a):
+        raise ValidationError(
+            f"the default cutoff 1e4/a at --a = {params.a!r} leaves the float64 range"
+        )
     res = approx.berry_integral(params, order=args.order, band=args.band,
                                 cutoff_k=args.cutoff_k, nk=args.nk)
     inputs = {"command": "berry", **dataclasses.asdict(params),
@@ -398,9 +412,6 @@ def main(argv=None) -> int:
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -16,7 +16,9 @@ positive. The hard walls quantize the oscillatory factor: choosing
 zeroes the cosine at x = -L/2 for any label, and at x = +L/2 exactly when
 2 n_s L / a is an integer. n_s = 0 makes the factor vanish identically and
 is rejected. On a grid of step dx only harmonics with n_s <= a/(2 dx) are
-resolvable; build_zero_mode refuses the others.
+resolvable; build_zero_mode refuses the others. The modes are of
+topological origin: they exist only for |w0| > |v0|, where each decays
+away from its wall, and build_zero_mode refuses every other box.
 """
 
 from __future__ import annotations
@@ -25,14 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateLabel,
-    InsufficientPeaks,
-    NonCommensurateBox,
-    NumericalError,
-    ValidationError,
-    ZeroCoupling,
-)
+from .errors import NumericalError, ValidationError
 from .finite import FiniteOperator
 from .model import FiniteParams, Grid, SpinorGrid, make_grid
 
@@ -71,7 +66,7 @@ def zero_mode_exponents(params: FiniteParams) -> tuple[complex, complex]:
     wall and the B mode toward the right wall when |w0| > |v0|.
     """
     if params.v0 == 0.0 or params.w0 == 0.0:
-        raise ZeroCoupling("zero-mode exponents need v0 != 0 and w0 != 0")
+        raise ValidationError("zero-mode exponents need v0 != 0 and w0 != 0")
     rate = np.log(abs(params.w0 / params.v0)) / params.a
     turn = np.pi / params.a if params.v0 * params.w0 > 0.0 else 0.0
     return complex(-rate, turn), complex(rate, 0.0 - turn)  # no -0.0 in the output
@@ -87,12 +82,12 @@ def _check_labels(n: int, m: int, params: FiniteParams) -> None:
     if not isinstance(n, (int, np.integer)) or not isinstance(m, (int, np.integer)):
         raise ValidationError(f"labels must be integers, got n={n!r}, m={m!r}")
     if n == 0:
-        raise DegenerateLabel("n = 0 makes the oscillatory factor vanish identically")
+        raise ValidationError("n = 0 makes the oscillatory factor vanish identically")
     if n < 0:
         raise ValidationError(f"harmonic n must be positive, got {n}")
     ratio = 2.0 * n * params.L / params.a
     if abs(ratio - round(ratio)) > 1e-9 * max(1.0, abs(ratio)):
-        raise NonCommensurateBox(
+        raise ValidationError(
             f"2nL/a = {ratio} is not an integer: cosine cannot vanish at both walls"
         )
     nyquist = params.a / (2.0 * params.dx)
@@ -105,7 +100,8 @@ def _check_labels(n: int, m: int, params: FiniteParams) -> None:
 def build_zero_mode(params: FiniteParams, component: str, labels: EdgeLabels) -> ZeroModeAnalytic:
     """Sample one analytic zero mode on the grid (unit norm, one sublattice).
 
-    Raises DegenerateLabel when the sampled oscillatory factor vanishes at
+    Raises ValidationError outside the topological phase (|v0| >= |w0|),
+    where the box has no zero modes, and when the sampled oscillatory factor vanishes at
     every grid point, which happens for the Nyquist-edge harmonic on boxes
     with integer L/a, and NumericalError when the mode's norm before
     normalization overflows float64 (ln|w0/v0|*L/a above about 700).
@@ -113,12 +109,17 @@ def build_zero_mode(params: FiniteParams, component: str, labels: EdgeLabels) ->
     if component not in COMPONENTS:
         raise ValidationError(f"component must be one of {COMPONENTS}, got {component!r}")
     q_a, q_b = zero_mode_exponents(params)
+    if abs(params.v0) >= abs(params.w0):
+        raise ValidationError(
+            f"v0 = {params.v0!r}, w0 = {params.w0!r} is not in the topological phase "
+            "|v0| < |w0|: the box has no zero-energy edge modes"
+        )
     q = q_a if component == "A" else q_b
     phi = phase_label(labels.n, labels.m, params)
     grid = make_grid(params)
     osc = np.cos(2.0 * np.pi * labels.n * grid.x / params.a + phi)
     if np.max(np.abs(osc)) < 1e-9:
-        raise DegenerateLabel(
+        raise ValidationError(
             f"harmonic n = {labels.n} vanishes at every grid point of this box"
         )
     with np.errstate(over="ignore", invalid="ignore"):
@@ -176,7 +177,7 @@ def localization_fit(grid: Grid, values: np.ndarray, a: float) -> LocalizationFi
     peaks = peaks[keep]
     locs = grid.x[(np.arange(k) * m + j)[keep]]
     if len(peaks) < MIN_PEAKS:
-        raise InsufficientPeaks(
+        raise ValidationError(
             f"need at least {MIN_PEAKS} envelope maxima, found {len(peaks)}"
         )
     slope, intercept = np.polyfit(locs, np.log(peaks), 1)

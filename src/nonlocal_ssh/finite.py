@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .model import FiniteParams, Grid, SpinorGrid, make_grid
 
 # relative (to |w0|) half-width of the "zero energy" window
@@ -72,7 +72,7 @@ class HopBlock:
         """This block times x along its first axis, as a new array; x is left untouched."""
         x = np.asarray(x)
         if x.shape[:1] != (self.n,):
-            raise GridMismatch(f"operand has leading size {x.shape[:1]}, block is {self.shape}")
+            raise ValidationError(f"operand has leading size {x.shape[:1]}, block is {self.shape}")
         m = self.m
         out = self.v0 * x
         if self.transposed:
@@ -109,7 +109,7 @@ class FiniteOperator:
     def apply(self, spinor: SpinorGrid) -> SpinorGrid:
         """H acting on a sampled spinor."""
         if spinor.grid.n != self.grid.n:
-            raise GridMismatch(
+            raise ValidationError(
                 f"spinor lives on {spinor.grid.n} points, operator on {self.grid.n}"
             )
         return SpinorGrid(

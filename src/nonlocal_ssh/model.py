@@ -14,13 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    DegenerateCouplings,
-    GridMismatch,
-    NonCommensurate,
-    NonPositiveScale,
-    ValidationError,
-)
+from .errors import ValidationError
 
 EPS = float(np.finfo(float).eps)
 
@@ -63,9 +57,9 @@ class BulkParams:
     def __post_init__(self) -> None:
         _require_finite(v=self.v, w=self.w, a=self.a)
         if self.a <= 0.0:
-            raise NonPositiveScale(f"hop distance a must be positive, got {self.a}")
+            raise ValidationError(f"hop distance a must be positive, got {self.a}")
         if self.v == 0.0 and self.w == 0.0:
-            raise DegenerateCouplings("v = w = 0 gives the zero Hamiltonian")
+            raise ValidationError("v = w = 0 gives the zero Hamiltonian")
 
 
 @dataclass(frozen=True)
@@ -87,9 +81,9 @@ class FiniteParams:
         _require_finite(v0=self.v0, w0=self.w0, a=self.a, L=self.L, dx=self.dx)
         for name in ("a", "L", "dx"):
             if getattr(self, name) <= 0.0:
-                raise NonPositiveScale(f"{name} must be positive, got {getattr(self, name)}")
+                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
         if self.v0 == 0.0 and self.w0 == 0.0:
-            raise DegenerateCouplings("v0 = w0 = 0 gives the zero Hamiltonian")
+            raise ValidationError("v0 = w0 = 0 gives the zero Hamiltonian")
         if not self.L > self.a:
             raise ValidationError(
                 f"box length L = {self.L} must exceed the hop distance a = {self.a}"
@@ -98,7 +92,7 @@ class FiniteParams:
             length = getattr(self, name)
             steps = round(length / self.dx)
             if steps < 1 or abs(steps * self.dx - length) > COMMENSURATE_RTOL * length:
-                raise NonCommensurate(
+                raise ValidationError(
                     f"{name} = {length} is not an integer multiple of dx = {self.dx}"
                 )
 
@@ -143,7 +137,7 @@ class SpinorGrid:
         self.psi_a = np.asarray(self.psi_a, dtype=complex)
         self.psi_b = np.asarray(self.psi_b, dtype=complex)
         if self.psi_a.shape != (self.grid.n,) or self.psi_b.shape != (self.grid.n,):
-            raise GridMismatch(
+            raise ValidationError(
                 f"spinor components must have shape ({self.grid.n},), "
                 f"got {self.psi_a.shape} and {self.psi_b.shape}"
             )

@@ -25,7 +25,7 @@ from typing import IO, Any
 
 import numpy as np
 
-from .errors import SerializationError, ValidationError
+from .errors import NumericalError, ValidationError
 from .model import BulkParams, FiniteParams
 
 SCHEMA_VERSION = 1
@@ -38,7 +38,7 @@ def format_float(x: float) -> str:
     """17-significant-digit decimal form; rejects NaN and infinities."""
     x = float(x)
     if not math.isfinite(x):
-        raise SerializationError(f"non-finite value {x!r} in output")
+        raise NumericalError(f"non-finite value {x!r} in output")
     return format(x, ".17g")
 
 
@@ -60,13 +60,13 @@ class Table:
 def emit_csv(table: Table, stream: IO[str]) -> None:
     """Header plus one line per row, newline-terminated, no trailing padding.
 
-    Raises SerializationError on the first non-finite value, before any
+    Raises NumericalError on the first non-finite value, before any
     byte is written. Each field is byte for byte format_float's string.
     """
     rows = table.rows
     finite = np.isfinite(rows)
     if not finite.all():
-        raise SerializationError(f"non-finite value {float(rows[~finite][0])!r} in output")
+        raise NumericalError(f"non-finite value {float(rows[~finite][0])!r} in output")
     nrows, ncols = rows.shape
     stream.write(",".join(table.columns) + "\n")
     if ncols == 0:
@@ -93,7 +93,7 @@ def _json_scalar(value: Any) -> str:
         for ch, esc in (("\n", "\\n"), ("\r", "\\r"), ("\t", "\\t")):
             out = out.replace(ch, esc)
         return f'"{out}"'
-    raise SerializationError(f"cannot serialize {type(value).__name__} to JSON")
+    raise NumericalError(f"cannot serialize {type(value).__name__} to JSON")
 
 
 def _json_value(value: Any) -> str:

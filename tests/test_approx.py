@@ -14,14 +14,7 @@ from nonlocal_ssh.approx import (
     comparison_table,
 )
 from nonlocal_ssh.bulk import energy_bands
-from nonlocal_ssh.errors import (
-    CutoffTooSmall,
-    GapClosure,
-    ModelError,
-    NumericalError,
-    UnsupportedOrder,
-    ValidationError,
-)
+from nonlocal_ssh.errors import ModelError, NumericalError, ValidationError
 from nonlocal_ssh.model import BulkParams
 
 P = BulkParams(v=0.5, w=1.0, a=1.0)
@@ -229,11 +222,11 @@ def test_berry_zero_coupling_shortcut():
 
 
 def test_berry_validation():
-    with pytest.raises(UnsupportedOrder):
+    with pytest.raises(ValidationError, match="implemented for orders 1 and 2, got 0"):
         berry_integral(P, 0)
-    with pytest.raises(UnsupportedOrder):
+    with pytest.raises(ValidationError, match="implemented for orders 1 and 2, got 3"):
         berry_integral(P, 3)
-    with pytest.raises(CutoffTooSmall):
+    with pytest.raises(ValidationError, match="cutoff_k must be >= 100.0/a"):
         berry_integral(P, 1, cutoff_k=10.0)
     # NaN passes every < comparison, so finiteness is checked on its own
     for order, cutoff_k in ((1, np.nan), (2, np.nan), (1, np.inf), (2, -np.inf)):
@@ -247,7 +240,7 @@ def test_berry_validation():
         berry_integral(P, 2, cutoff_k=np.sqrt(3.0) * 1000.0, nk=2001)
     with pytest.raises(ValidationError, match="k spacing"):
         berry_integral(P, 2, cutoff_k=1e7, nk=196608)
-    with pytest.raises(GapClosure):
+    with pytest.raises(NumericalError, match="truncated bands touch zero inside the cutoff"):
         berry_integral(BulkParams(v=1.0, w=-1.0, a=1.0), 1)
     assert berry_integral(P, 1).cutoff_k == pytest.approx(BERRY_DEFAULT_CUTOFF / P.a)
 
@@ -263,6 +256,34 @@ def test_overflowing_samples_refused_cleanly():
     # an overflow warning
     with pytest.raises(NumericalError, match="order-2 bands at v = 0.5, w = 1.0 exceed"):
         approx_bands(P, 2, np.array([0.0, 1e200]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("w, far", [(0.0, 1.0), (1e-300, 5e99)])
+def test_order2_bands_where_the_square_overflows(w, far):
+    # (ak)^2 overflows at ak = 1e200 while w (ak)^2 / 2 fits: answered, and
+    # the k where the square fits keep the bits of the plain formula
+    p = BulkParams(v=1.0, w=w, a=1.0)
+    k = np.array([-np.pi, 0.5, 1e200])
+    e = approx_bands(p, 2, k).e_plus
+    assert np.array_equal(e[:2], np.abs((1.0 + w) - 0.5 * w * k[:2] ** 2 + 1j * w * k[:2]))
+    assert e[2] == pytest.approx(far, rel=1e-15)
+
+
+def test_comparison_table_at_any_hop_length():
+    # the table is in ka and samples k with a scaled into [1, 2) by a power
+    # of two: a table at every a, with the bits of k = ka/a where that is
+    # finite
+    ka = np.linspace(-np.pi, np.pi, 9)
+    _, unit = comparison_table(BulkParams(v=0.5, w=1.0, a=1.0), k_samples=9)
+    for a in (5e-324, 1e-310, 1e-200, 3.0, 1e200, 1.7e308):
+        p = BulkParams(v=0.5, w=1.0, a=a)
+        _, rows = comparison_table(p, k_samples=9)
+        assert np.allclose(rows, unit, rtol=1e-14, atol=0.0)
+        if 1e-300 < a < 1e300:
+            direct = [approx_bands(p, order, ka / a).e_plus for order in (0, 1, 2)]
+            direct.append(energy_bands(p, ka / a).e_plus)
+            assert np.array_equal(rows[:, 2::2], np.column_stack(direct))
 
 
 def test_comparison_table():

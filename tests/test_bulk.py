@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nonlocal_ssh import bulk
 from nonlocal_ssh.bulk import energy_bands, phase_phi, zak_analytic, zak_wilson
-from nonlocal_ssh.errors import CriticalPoint, GapClosure, NumericalError, ValidationError
+from nonlocal_ssh.errors import NumericalError, ValidationError
 from nonlocal_ssh.model import BulkParams, wrap_angle
 
 P_TOPO = BulkParams(v=0.5, w=1.0, a=1.0)
@@ -97,7 +97,7 @@ def test_phase_zone_boundary_branch():
 
 def test_phase_gap_closure():
     p = BulkParams(v=1.0, w=-1.0, a=1.0)
-    with pytest.raises(GapClosure):
+    with pytest.raises(NumericalError, match="phase undefined"):
         phase_phi(p, 0.0)
 
 
@@ -109,7 +109,7 @@ def test_phase_at_any_coupling_magnitude():
     for scale in (2.0**-1060, 2.0**-1000, 2.0**-40, 2.0**1000):
         assert np.array_equal(phase_phi(BulkParams(v=scale, w=3.0 * scale, a=1.0), k), ref)
     assert zak_wilson(BulkParams(v=1e-310, w=1e-309, a=1.0)).classification == "topological"
-    with pytest.raises(GapClosure, match=re.escape("at v = -1e-320, w = 1e-320: phase undefined")):
+    with pytest.raises(NumericalError, match=re.escape("at v = -1e-320, w = 1e-320: phase undefined")):
         phase_phi(BulkParams(v=-1e-320, w=1e-320, a=1.0), k)
 
 
@@ -141,7 +141,7 @@ def test_zak_analytic_cases():
     # only |v| vs |w| matters
     assert zak_analytic(BulkParams(v=1.0, w=-2.0, a=0.4)).value == pytest.approx(np.pi)
     assert zak_analytic(BulkParams(v=-3.0, w=1.0, a=0.4)).value == 0.0
-    with pytest.raises(CriticalPoint):
+    with pytest.raises(NumericalError, match="gap closes, Zak phase undefined"):
         zak_analytic(BulkParams(v=1.0, w=-1.0, a=1.0))
 
 
@@ -154,6 +154,20 @@ def test_zak_wilson_matches_analytic():
             # compare on the circle
             d = np.angle(np.exp(1j * (got - want)))
             assert abs(d) < 1e-6, (v, w, a)
+
+
+def test_zak_wilson_at_any_hop_length():
+    # the zone is sampled with a scaled into [1, 2) by a power of two, where
+    # the momenta -pi/a + (2 pi/a) j/nk themselves would overflow; a power of
+    # two a gives the bits of a = 1
+    for v, w in [(0.5, 1.0), (1.5, 1.0), (1.0, -2.0), (-3.0, 1.0)]:
+        unit = zak_wilson(BulkParams(v=v, w=w, a=1.0), nk=64)
+        for a in (5e-324, 1e-310, 1e-307, 2.0**-1000, 1e308):
+            p = BulkParams(v=v, w=w, a=a)
+            got = zak_wilson(p, nk=64)
+            assert abs(wrap_angle(got.value - zak_analytic(p).value)) < 1e-6, (v, w, a)
+            if a in (5e-324, 2.0**-1000):
+                assert got == unit
 
 
 @st.composite
@@ -205,7 +219,7 @@ def test_zak_wilson_odd_grid_around_the_gap_minimum():
 def test_zak_wilson_validation():
     with pytest.raises(ValidationError):
         zak_wilson(P_TOPO, nk=8)
-    with pytest.raises(GapClosure):
+    with pytest.raises(NumericalError, match="band gap closes"):
         zak_wilson(BulkParams(v=1.0, w=-1.0, a=1.0))
 
 

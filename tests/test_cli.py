@@ -264,7 +264,7 @@ def test_zero_mode_window_refused(tmp_path, capsys, command, tol, w0):
     (["bands", *BULK, "--kmin", "nan"], "--kmin must be finite"),
     (["approx", *BULK, "--order", "1", "--kmin=-inf"], "--kmin must be finite"),
     (["approx", *BULK, "--order", "2", "--kmax", "nan"], "--kmax must be finite"),
-    (["approx", *BULK, "--kmax", "inf"], "--kmax must be finite"),
+    (["approx", *BULK, "--kmax", "inf"], "--kmin/--kmax need a single --order"),
     (["berry", *BULK, "--order", "1", "--cutoff-k", "nan"], "cutoff_k must be finite"),
     (["berry", *BULK, "--order", "2", "--cutoff-k", "inf"], "cutoff_k must be finite"),
     (["bands", "--v", "0.5", "--w", "1", "--a", "0"], "a must be positive"),
@@ -521,7 +521,7 @@ def test_levels_beyond_float_max_refused(tmp_path, capsys, argv, to_file):
     ("bands --v=-1e-320 --w 1e-320 --a 1 --samples 5", 3, "at v = -1e-320, w = 1e-320: phase undefined"),
     # a*k, kmax - kmin or 2K beyond the float64 range: numpy warnings, then a
     # wrong reason or a ValueError traceback
-    ("bands --v 0.5 --w 1 --a 1e10 --kmax 1e300 --samples 5", 2, "--kmin/--kmax"),
+    ("bands --v 0.5 --w 1 --a 1e10 --kmax 1e300 --samples 5", 2, "the k range --kmax = ["),
     ("bands --v 0.5 --w 1 --a 1 --kmin -1e308 --kmax 1e308", 2, "kmax - kmin"),
     ("berry --v 0.5 --w 1 --a 1 --order 1 --cutoff-k 1e308", 2, "2*cutoff_k and 2*a*cutoff_k"),
     ("approx --v 0.5 --w 1 --a 1 --order 2 --kmax 1e200", 3, "order-2 bands at v = 0.5"),
@@ -533,6 +533,19 @@ def test_levels_beyond_float_max_refused(tmp_path, capsys, argv, to_file):
     # point and near-critical topological chains were answered "trivial"
     ("zak --v 1 --w -1 --a 1 --nk 17", 2, "nk = 17 cannot resolve the phase"),
     ("zak --v 0.999 --w -1 --a 1 --nk 17", 2, "nk = 17 cannot resolve the phase"),
+    # the Zak phase and the all-orders table do not depend on a, but their
+    # momenta -pi/a .. pi/a overflowed: a NaN, or a refusal naming --kmin/--kmax
+    ("zak --v 0.5 --w 1 --a 1e-307", 0, None),
+    ("zak --v 0.5 --w 1 --a 5e-324", 0, None),
+    ("approx --v 0.5 --w 1 --a 1e-310 --samples 5", 0, None),
+    # defaults that overflow are named with --a, not as flags never given
+    ("berry --v 0.5 --w 1 --a 1e-310 --order 1", 2, "the default cutoff 1e4/a at --a = 1e-310"),
+    ("bands --v 0.5 --w 1 --a 1e-310", 2, "the default k range [-pi/a, pi/a] at --a = 1e-310"),
+    # (ak)^2 overflows, w (ak)^2 / 2 does not: every band is |v| = 1
+    ("approx --v 1 --w 0 --a 1 --order 2 --kmax 1e200 --samples 3", 0, None),
+    # no zero modes outside the topological phase |v0| < |w0|
+    ("edge --v0 1 --w0 0.5 --a 0.2 --L 2 --dx 0.05 --n-a 1 --n-b 1", 2,
+     "v0 = 1.0, w0 = 0.5 is not in the topological phase"),
 ])
 def test_extreme_inputs_answer_or_refuse_cleanly(capsys, argv, code, message):
     assert cli.main(argv.split()) == code

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,13 +14,7 @@ from nonlocal_ssh.edge import (
     phase_label,
     zero_mode_exponents,
 )
-from nonlocal_ssh.errors import (
-    DegenerateLabel,
-    InsufficientPeaks,
-    NonCommensurateBox,
-    ValidationError,
-    ZeroCoupling,
-)
+from nonlocal_ssh.errors import ValidationError
 from nonlocal_ssh.finite import build_finite, spectrum
 from nonlocal_ssh.model import FiniteParams, make_grid
 
@@ -36,9 +32,9 @@ def test_exponents_closed_form():
         FiniteParams(v0=1.0, w0=0.5, a=0.2, L=10.0, dx=0.01)
     )
     assert r_a.real == pytest.approx(RATE)
-    with pytest.raises(ZeroCoupling):
+    with pytest.raises(ValidationError, match="need v0 != 0 and w0 != 0"):
         zero_mode_exponents(FiniteParams(v0=0.0, w0=1.0, a=0.2, L=10.0, dx=0.01))
-    with pytest.raises(ZeroCoupling):
+    with pytest.raises(ValidationError, match="need v0 != 0 and w0 != 0"):
         zero_mode_exponents(FiniteParams(v0=1.0, w0=0.0, a=0.2, L=10.0, dx=0.01))
 
 
@@ -96,7 +92,7 @@ def test_phase_label_values():
 
 
 def test_label_validation():
-    with pytest.raises(DegenerateLabel):
+    with pytest.raises(ValidationError, match="n = 0 makes the oscillatory factor vanish"):
         phase_label(0, 1, BOX)
     with pytest.raises(ValidationError):
         phase_label(-2, 1, BOX)
@@ -104,7 +100,7 @@ def test_label_validation():
         phase_label(1.5, 1, BOX)  # type: ignore[arg-type]
     # box length must hold a half-integer number of oscillations
     crooked = FiniteParams(v0=0.5, w0=1.0, a=0.2, L=10.0125, dx=0.0125)
-    with pytest.raises(NonCommensurateBox):
+    with pytest.raises(ValidationError, match="cosine cannot vanish at both walls"):
         phase_label(1, 0, crooked)
     # harmonic beyond the grid resolution
     with pytest.raises(ValidationError):
@@ -149,7 +145,7 @@ def test_component_validation():
 def test_nyquist_edge_harmonic_vanishes_on_grid():
     # n = a/(2 dx) passes the resolution check but its sampled oscillation
     # is identically zero on a box with integer L/a
-    with pytest.raises(DegenerateLabel):
+    with pytest.raises(ValidationError, match="harmonic n = 10 vanishes at every grid point"):
         build_zero_mode(BOX, "A", EdgeLabels(n=10, m=0))
 
 
@@ -198,16 +194,32 @@ def test_localization_fit_matches_loop_reference():
 
 
 def test_localization_flat_at_equal_couplings():
+    # |v0| = |w0| has no zero modes; the closed-form profile there, built
+    # here from its exponent, has a flat envelope
     flat = FiniteParams(v0=1.0, w0=1.0, a=0.2, L=10.0, dx=0.01)
-    mode = build_zero_mode(flat, "A", EdgeLabels(n=3, m=1))
-    fit = localization_fit(make_grid(flat), mode.state.psi_a, flat.a)
+    q_a, _ = zero_mode_exponents(flat)
+    x = make_grid(flat).x
+    values = np.cos(2.0 * np.pi * 3 * x / flat.a + phase_label(3, 1, flat)) * np.exp(q_a * x)
+    fit = localization_fit(make_grid(flat), values, flat.a)
     assert abs(fit.slope) < 1e-8
+
+
+@pytest.mark.parametrize("v0, w0", [(1.0, 1.0), (-1.0, 1.0), (2.0, 1.0), (1.0, -0.5), (1.0, 0.0)])
+def test_no_zero_modes_outside_the_topological_phase(v0, w0):
+    # the edge states are of topological origin: at |v0| >= |w0| the closed
+    # form is no kernel state (residual 0.14 at v0 = w0, 1.73 at v0 = 2 w0)
+    box = FiniteParams(v0=v0, w0=w0, a=0.2, L=10.0, dx=0.01)
+    message = ("need v0 != 0 and w0 != 0" if w0 == 0.0 else
+               f"v0 = {v0!r}, w0 = {w0!r} is not in the topological phase")
+    for comp in COMPONENTS:
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            build_zero_mode(box, comp, EdgeLabels(n=3, m=1))
 
 
 def test_localization_needs_enough_windows():
     small = FiniteParams(v0=0.5, w0=1.0, a=0.2, L=1.0, dx=0.01)
     mode = build_zero_mode(small, "A", EdgeLabels(n=3, m=1))
-    with pytest.raises(InsufficientPeaks):
+    with pytest.raises(ValidationError, match="need at least 10 envelope maxima, found 5"):
         localization_fit(make_grid(small), mode.state.psi_a, small.a)
 
 

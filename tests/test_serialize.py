@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonlocal_ssh.errors import SerializationError, ValidationError
+from nonlocal_ssh.errors import NumericalError, ValidationError
 from nonlocal_ssh.serialize import (
     _CSV_CHUNK_VALUES,
     Table,
@@ -30,9 +30,9 @@ def test_format_float_round_trips():
 
 
 def test_format_float_rejects_non_finite():
-    with pytest.raises(SerializationError):
+    with pytest.raises(NumericalError, match="non-finite value nan in output"):
         format_float(float("nan"))
-    with pytest.raises(SerializationError):
+    with pytest.raises(NumericalError, match="non-finite value inf in output"):
         format_float(float("inf"))
 
 
@@ -152,7 +152,7 @@ def test_emit_csv_refuses_non_finite_before_writing(ncols, bad, where):
     rows[row, ncols // 2] = bad
     rows[-1, -1] = float("inf") if np.isnan(bad) else float("nan")  # a later, different one
     buf = io.StringIO()
-    with pytest.raises(SerializationError, match=f"non-finite value {bad!r}"):
+    with pytest.raises(NumericalError, match=f"non-finite value {bad!r}"):
         emit_csv(Table(columns=[f"c{j}" for j in range(ncols)], rows=rows), buf)
     assert buf.getvalue() == ""
 
@@ -179,9 +179,9 @@ def test_emit_json_order_and_escapes():
     assert line.index('"b"') < line.index('"a"') < line.index('"c"')
     assert '\\"hi\\"' in line and "\\n" in line
     assert "true" in line and "null" in line
-    with pytest.raises(SerializationError):
+    with pytest.raises(NumericalError, match="cannot serialize object to JSON"):
         emit_json({"x": object()}, io.StringIO())
-    with pytest.raises(SerializationError):
+    with pytest.raises(NumericalError, match="non-finite value nan in output"):
         emit_json({"x": float("nan")}, io.StringIO())
 
 
