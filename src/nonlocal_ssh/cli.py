@@ -72,7 +72,8 @@ def _replacing(out):
     run leaves an existing file as it was; the temporary file is removed on
     failure. Symlinks are followed, and a replaced file keeps its
     permission bits. Anything else (a device, a pipe) is opened directly,
-    as there is no file to keep.
+    as there is no file to keep. An OSError that names a file names `out`
+    as given, never the temporary file, so reruns report the same path.
     """
     if os.path.exists(out) and not os.path.isfile(out):
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -80,16 +81,21 @@ def _replacing(out):
         return
     target = Path(os.path.realpath(out))
     tmp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
-        with fh:
-            yield fh
-        if target.exists():  # keep the replaced file's permissions
-            os.chmod(tmp, target.stat().st_mode & 0o7777)
-        os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        fh = open(tmp, "x", encoding="utf-8", newline="")
+        try:
+            with fh:
+                yield fh
+            if target.exists():  # keep the replaced file's permissions
+                os.chmod(tmp, target.stat().st_mode & 0o7777)
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(out)) from None
 
 
 def _write_table(table: Table, out: str | None, inputs: dict) -> None:
@@ -187,7 +193,9 @@ def _cmd_approx(args) -> int:
     if args.order != "all":
         kmin, kmax = _k_range(args, params)
     elif args.kmin is not None or args.kmax is not None:
-        raise ValidationError("--kmin/--kmax need a single --order; "
+        given = "/".join(flag for flag, val in (("--kmin", args.kmin), ("--kmax", args.kmax))
+                         if val is not None)
+        raise ValidationError(f"{given} applies to a single order only; "
                               "the all-orders table spans one zone")
     if args.samples < 2:
         raise ValidationError("--samples must be >= 2")
@@ -230,6 +238,7 @@ def _cmd_finite(args) -> int:
     params = _params(args, FiniteParams)
     if args.vectors and not args.out:
         raise ValidationError("--vectors needs --out to place per-state files")
+    finite.check_levels(params)  # before the grid is allocated
     op = finite.build_finite(params)
     tol_abs = _zero_window(args, params)
     res = finite.spectrum(op)

@@ -23,6 +23,8 @@ away from its wall, and build_zero_mode refuses every other box.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +59,14 @@ class ZeroModeAnalytic:
     state: SpinorGrid
 
 
+def _log_ratio(params: FiniteParams) -> float:
+    """ln|w0/v0|; from the log of each coupling where the ratio is not a normal float64."""
+    ratio = abs(params.w0 / params.v0)
+    if sys.float_info.min <= ratio < math.inf:
+        return float(np.log(ratio))
+    return math.log(abs(params.w0)) - math.log(abs(params.v0))
+
+
 def zero_mode_exponents(params: FiniteParams) -> tuple[complex, complex]:
     """(q_A, q_B): complex spatial exponents of the two zero-mode families.
 
@@ -67,8 +77,8 @@ def zero_mode_exponents(params: FiniteParams) -> tuple[complex, complex]:
     """
     if params.v0 == 0.0 or params.w0 == 0.0:
         raise ValidationError("zero-mode exponents need v0 != 0 and w0 != 0")
-    rate = np.log(abs(params.w0 / params.v0)) / params.a
-    turn = np.pi / params.a if params.v0 * params.w0 > 0.0 else 0.0
+    rate = _log_ratio(params) / params.a
+    turn = np.pi / params.a if (params.v0 > 0.0) == (params.w0 > 0.0) else 0.0  # v0*w0 may underflow
     return complex(-rate, turn), complex(rate, 0.0 - turn)  # no -0.0 in the output
 
 
@@ -126,7 +136,7 @@ def build_zero_mode(params: FiniteParams, component: str, labels: EdgeLabels) ->
         psi = osc * np.exp(q * grid.x)
         nrm = np.linalg.norm(psi)
     if not (np.isfinite(nrm) and nrm > 0.0):
-        growth = np.log(abs(params.w0 / params.v0)) * params.L / params.a
+        growth = _log_ratio(params) * params.L / params.a
         raise NumericalError(
             f"the unnormalized {component} mode overflows float64: "
             f"ln|w0/v0|*L/a = {growth:.6g} is too large"
@@ -162,8 +172,10 @@ def localization_fit(grid: Grid, values: np.ndarray, a: float) -> LocalizationFi
 
     The grid is cut into consecutive windows of a/dx points; the largest
     magnitude in each window and its position enter an ordinary
-    least-squares line through (x, log |psi|). Needs at least MIN_PEAKS
-    windows with nonzero maxima.
+    least-squares line through (x/s, log |psi|), where s is the power of
+    two next to a: the division is exact, so the slope is the fitted one
+    over s bit for bit, and x/s stays near 1 at any a. Needs at least
+    MIN_PEAKS windows with nonzero maxima.
     """
     values = np.asarray(values)
     if values.shape != (grid.n,):
@@ -180,5 +192,6 @@ def localization_fit(grid: Grid, values: np.ndarray, a: float) -> LocalizationFi
         raise ValidationError(
             f"need at least {MIN_PEAKS} envelope maxima, found {len(peaks)}"
         )
-    slope, intercept = np.polyfit(locs, np.log(peaks), 1)
-    return LocalizationFit(slope=float(slope), intercept=float(intercept), n_peaks=len(peaks))
+    s = math.ldexp(1.0, math.frexp(a)[1])
+    slope, intercept = np.polyfit(locs / s, np.log(peaks), 1)
+    return LocalizationFit(slope=float(slope) / s, intercept=float(intercept), n_peaks=len(peaks))

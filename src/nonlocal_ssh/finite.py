@@ -12,11 +12,12 @@ permutation-similar to m independent open dimerized (SSH) chains whose cell
 counts are ceil((P - r)/m). All chains share (v0, w0) and there are at most
 two distinct cell counts.
 
-The eigensolver uses that decomposition: one SVD per distinct cell count
-of C restricted to a residue class (a lower-bidiagonal block), whose
-singular values, tiled by multiplicity, give the spectrum as exact +-sigma
-pairs (chiral symmetry built in). Dense per-chain diagonalization
-(decoupled_spectrum) is the oracle.
+The eigensolver uses that decomposition: each distinct cell count is
+solved once, in O(n), from its chain's quantization condition, and the
+levels are tiled by multiplicity, which gives the spectrum as exact +-sigma
+pairs (chiral symmetry built in). States are built only for the levels
+that are read. Dense per-chain diagonalization (decoupled_spectrum) is the
+oracle.
 
 C itself is kept as its two diagonals (HopBlock) and applied with numpy
 slices.
@@ -36,9 +37,14 @@ from .model import FiniteParams, Grid, SpinorGrid, make_grid
 # relative (to |w0|) half-width of the "zero energy" window
 ZERO_TOL_DEFAULT = 1e-8
 
-# largest dense chain block (in elements) the solver may allocate: 2**26
-# float64 entries are 512 MiB, which admits chains up to 8192 cells
+# largest dense chain block (in elements) compare_ssh may allocate for its
+# single P-cell chain: 2**26 float64 entries are 512 MiB, which admits
+# chains up to 8192 cells
 DENSE_MAX_ELEMENTS = 2**26
+
+# most levels spectrum() solves: `finite` peaks at about 400 bytes resident
+# per level (measured up to 2**21 levels), about 1.7 GB at this ceiling
+MAX_LEVELS = 2**22
 
 
 class HopBlock:
@@ -163,6 +169,7 @@ def _chain_block(n_cells: int, v: float, w: float) -> np.ndarray:
     """C restricted to one residue class: v on the diagonal, w below it.
 
     Dense n x n, so it refuses above DENSE_MAX_ELEMENTS before allocating.
+    Only compare_ssh's single P-cell chain uses it.
     """
     if n_cells**2 > DENSE_MAX_ELEMENTS:
         raise ValidationError(
@@ -174,72 +181,107 @@ def _chain_block(n_cells: int, v: float, w: float) -> np.ndarray:
     return block
 
 
+def check_levels(params: FiniteParams) -> None:
+    """Refuse a box with more than MAX_LEVELS levels, before anything is allocated."""
+    levels = 2 * params.n_points
+    if levels > MAX_LEVELS:
+        raise ValidationError(
+            f"the box --L = {params.L!r}, --dx = {params.dx!r} has {levels} levels, "
+            f"above the ceiling MAX_LEVELS = {MAX_LEVELS}"
+        )
+
+
 def _chain_eigensystem(op: FiniteOperator):
-    # A chain's block B = U S V^T gives H eigenpairs (+-s_c, (u_c, +-v_c)/sqrt2)
-    # on its residue class; one SVD serves every chain with that cell count.
-    chains = chain_decomposition(op)
-    blocks = {}
-    for chain in chains:
-        if chain.n_cells not in blocks:
-            blocks[chain.n_cells] = np.linalg.svd(_chain_block(chain.n_cells, chain.v, chain.w))
-    s_all = np.concatenate([blocks[c.n_cells][1] for c in chains])
+    # The chains share (v0, w0) and at most two cell counts, so each count
+    # is solved once: chain r holds cells[r] cells, the longer ones first.
+    # The solver module is compiled on first use, not when the package loads.
+    from ._chain import ChainLevels
+
+    p, m = op.n_points, op.hop_steps
+    cells = (p - 1 - np.arange(m)) // m + 1
+    lengths = sorted({int(cells[0]), int(cells[-1])}, reverse=True)
+    solved = {n: ChainLevels(n, op.params.v0, op.params.w0) for n in lengths}
+    starts = np.concatenate([[0], np.cumsum(cells)])
+    s_all = np.concatenate([np.tile(solved[n].sigma, np.count_nonzero(cells == n)) for n in lengths])
     order = np.argsort(-s_all, kind="stable")  # descending, ties in chain order
     s = s_all[order]
     evals = np.concatenate([-s, s[::-1]])  # ascending, exactly negation-closed
-    owner = np.repeat(np.arange(len(chains)), [c.n_cells for c in chains])[order]
-    column = np.concatenate([np.arange(c.n_cells) for c in chains])[order]
-    p, m = op.n_points, op.hop_steps
 
-    def pair(j):
-        i, sign = (j, -1.0) if j < p else (2 * p - 1 - j, 1.0)
-        chain = chains[owner[i]]
-        u, _, vt = blocks[chain.n_cells]
-        psi_a = np.zeros(p)
-        psi_b = np.zeros(p)
-        psi_a[chain.offset :: m] = u[:, column[i]] / np.sqrt(2.0)
-        psi_b[chain.offset :: m] = sign * vt[column[i]] / np.sqrt(2.0)
-        return psi_a, psi_b
+    def states(levels):
+        # psi_a, psi_b of the given levels as the columns of two P x k blocks,
+        # each the transposed view of a row-major k x P block
+        levels = np.asarray(levels)
+        positive = levels >= p
+        pos = order[np.where(positive, 2 * p - 1 - levels, levels)]
+        owner = np.searchsorted(starts, pos, side="right") - 1
+        column = pos - starts[owner]
+        rows = np.zeros((2, levels.size, p))
+        for n, chain in solved.items():
+            picked = np.flatnonzero(cells[owner] == n)
+            cell = owner[picked, None] + m * np.arange(n)
+            rows[:, picked[:, None], cell] = chain.vectors(column[picked], positive[picked])
+        return rows[0].T, rows[1].T
 
-    return evals, pair
+    return evals, states
 
 
-def _sampled_residual(op: FiniteOperator, evals: np.ndarray, pair) -> float:
+def _sampled_residual(op: FiniteOperator, evals: np.ndarray, states) -> float:
     """Largest ||H psi - E psi|| over 19 levels: 17 evenly spaced, P-1 and P.
 
-    pair(j) gives level j's (psi_a, psi_b); the sampled pairs become the
-    columns of two P x 19 blocks, so C and C^T are applied once each.
+    states(levels) gives the sampled levels' (psi_a, psi_b) as the columns
+    of two P x 19 blocks, so C and C^T are applied once each; the blocks
+    are overwritten.
 
-    The defects are divided by a power of two near the largest of them
-    before they are squared: that is exact, so couplings near the float64
-    maximum cannot overflow the squares and ordinary ones keep their bits.
+    The defects are squared as they are. Only where the largest sum of
+    squares shows that a square may have overflowed or underflowed are they
+    first divided by a power of two near the largest defect, which is
+    exact, so couplings near the float64 limits get a finite bound.
     """
     p, dim = op.n_points, op.dimension
-    sample = sorted(set(np.linspace(0, dim - 1, 17, dtype=int)) | {p - 1, p})
-    psi_a, psi_b = (np.stack(cols, axis=1) for cols in zip(*map(pair, sample)))
+    sample = np.array(sorted({(dim - 1) * i // 16 for i in range(17)} | {p - 1, p}))
+    psi_a, psi_b = states(sample)
     lam = evals[sample]
-    defect_a = np.abs(op.c_block @ psi_b - lam * psi_a)
-    defect_b = np.abs(op.c_block.T @ psi_a - lam * psi_b)
-    s = math.ldexp(1.0, math.frexp(max(defect_a.max(), defect_b.max()))[1])
-    squares = ((defect_a / s) ** 2).sum(axis=0) + ((defect_b / s) ** 2).sum(axis=0)
-    return float(s * np.sqrt(np.max(squares)))
+    defect_b = op.c_block.T @ psi_a
+    defect_a = op.c_block @ psi_b
+    psi_a *= lam
+    psi_b *= lam
+    defect_a -= psi_a
+    defect_b -= psi_b
+
+    def largest_square() -> float:
+        return float(np.max(np.einsum("ij,ij->j", defect_a, defect_a)
+                            + np.einsum("ij,ij->j", defect_b, defect_b)))
+
+    with np.errstate(over="ignore"):
+        squared = largest_square()
+    if 2.0**-900 <= squared <= 2.0**1000:
+        return math.sqrt(squared)
+    s = math.ldexp(1.0, math.frexp(max(np.max(np.abs(defect_a)), np.max(np.abs(defect_b))))[1])
+    defect_a /= s
+    defect_b /= s
+    return s * math.sqrt(largest_square())
 
 
 def spectrum(op: FiniteOperator) -> SpectrumResult:
     """All 2P eigenvalues in ascending order, with lazily built eigenstates.
 
-    The box is solved chain by chain: one SVD of the lower-bidiagonal block
-    per distinct cell count, singular values tiled by multiplicity, which
-    enforces the +-E pairing exactly. residual_bound is measured with H
-    built from the operator's own c_block, so it exposes an operator whose
-    C is not the chain structure its parameters imply. Levels beyond the
-    float64 range are a NumericalError.
+    The box is solved chain by chain: the levels of each distinct cell
+    count come from its quantization condition in O(n), and are tiled by
+    multiplicity, which enforces the +-E pairing exactly; a state is built
+    only when it is read. residual_bound is measured with H built from the
+    operator's own c_block, so it exposes an operator whose C is not the
+    chain structure its parameters imply. A box above MAX_LEVELS levels is
+    a ValidationError, and levels beyond the float64 range are a
+    NumericalError.
     """
-    evals, pair = _chain_eigensystem(op)
+    check_levels(op.params)
+    evals, states = _chain_eigensystem(op)
     _require_finite_levels(evals, op.params, "the box")
     return SpectrumResult(
         eigenvalues=evals,
-        vectors=_LazyStates(range(op.dimension), lambda j: SpinorGrid(op.grid, *pair(j))),
-        residual_bound=_sampled_residual(op, evals, pair),
+        vectors=_LazyStates(range(op.dimension),
+                            lambda j: SpinorGrid(op.grid, *(s[:, 0] for s in states([j])))),
+        residual_bound=_sampled_residual(op, evals, states),
     )
 
 
@@ -323,7 +365,7 @@ def decoupled_spectrum(op: FiniteOperator) -> np.ndarray:
     """Union of the chain spectra, sorted. Exact alternative route to spectrum().
 
     Every chain is diagonalized on its own as a dense symmetric matrix, so
-    this oracle shares no solver with the chain-block SVD of spectrum().
+    this oracle shares no solver with the closed form of spectrum().
     """
     return np.sort(np.concatenate([ssh_spectrum(c) for c in chain_decomposition(op)]))
 
@@ -362,14 +404,13 @@ def compare_ssh(params: FiniteParams, tol_zero: float | None = None) -> Spectrum
     that is not positive and finite is a ValidationError. Levels of either
     system beyond the float64 range are a NumericalError.
     """
-    op = build_finite(params)
     tol_zero = check_zero_window(default_zero_tol(params) if tol_zero is None else tol_zero)
-    # the P-cell chain is the m = 1 case of the box's chain block; it is the
-    # larger block, so its size guard runs before the box is solved
+    # the P-cell chain is the m = 1 case of the box's chain block; its dense
+    # size guard is the stricter one, so it runs before the box is built
     s = np.linalg.svd(_chain_block(params.n_points, params.v0, params.w0), compute_uv=False)
     e_chain = np.concatenate([-s, s[::-1]])
     _require_finite_levels(e_chain, params, f"the {params.n_points}-cell chain")
-    e_box = spectrum(op).eigenvalues
+    e_box = spectrum(build_finite(params)).eigenvalues
     return SpectrumComparison(
         e_box=e_box,
         e_chain=e_chain,

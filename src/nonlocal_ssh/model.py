@@ -143,4 +143,9 @@ class SpinorGrid:
             )
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.psi_a) ** 2) + np.sum(np.abs(self.psi_b) ** 2)))
+        """Euclidean norm. The magnitudes are divided by the power of two next
+        to the largest before they are squared: that is exact, so tiny or huge
+        states neither underflow nor overflow, and ordinary ones keep their bits."""
+        a, b = np.abs(self.psi_a), np.abs(self.psi_b)
+        s = math.ldexp(1.0, math.frexp(max(a.max(initial=0.0), b.max(initial=0.0)))[1])
+        return float(s * np.sqrt(np.sum((a / s) ** 2) + np.sum((b / s) ** 2)))

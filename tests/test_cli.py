@@ -214,15 +214,33 @@ def test_validation_exit_codes(tmp_path):
 
 
 def test_long_chain_blocks_exit_2():
-    # dense chain blocks of 40001 (finite, m = 1) and 10001 cells (the
-    # compare-ssh chain) exceed DENSE_MAX_ELEMENTS: refused, nothing written
+    # finite solves its 40001-cell chain (m = 1) without a dense block; the
+    # dense block of compare-ssh's 10001-cell chain exceeds
+    # DENSE_MAX_ELEMENTS: refused, nothing written
     box = ("--v0", "0.5", "--w0", "1", "--dx", "0.01")
-    for args in (("finite", *box, "--a", "0.01", "--L", "400"),
-                 ("compare-ssh", *box, "--a", "0.2", "--L", "100")):
-        r = run(*args)
-        assert r.returncode == 2
-        assert r.stdout == ""
-        assert "DENSE_MAX_ELEMENTS" in r.stderr
+    r = run("finite", *box, "--a", "0.01", "--L", "400")
+    assert r.returncode == 0
+    assert r.stdout.count("\n") == 1 + 80002
+    summary = json.loads(r.stderr.splitlines()[1])
+    assert summary["zero_modes"] == 2 and summary["residual_bound"] < 1e-12
+    r = run("compare-ssh", *box, "--a", "0.2", "--L", "100")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "DENSE_MAX_ELEMENTS" in r.stderr
+
+
+@pytest.mark.parametrize("command, message", [
+    ("finite", "error: the box --L = 100000000.0, --dx = 1.0 has 200000002 levels, above the "
+               f"ceiling MAX_LEVELS = {finite.MAX_LEVELS}"),
+    ("compare-ssh", "100000001-cell chain"),
+])
+def test_levels_guard_exit_2(command, message):
+    # 2*10^8 levels: refused before the 0.8 GB grid is built, naming the inputs
+    r = run(command, "--v0", "0.5", "--w0", "1", "--a", "1", "--L", "1e8", "--dx", "1")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1
+    assert message in r.stderr
 
 
 def test_numerical_exit_code():
@@ -236,6 +254,24 @@ def test_io_failure_exit_code(tmp_path):
     r = run("bands", *BULK, "--out", str(tmp_path / "no" / "dir" / "x.csv"))
     assert r.returncode == 3
     assert "io error" in r.stderr
+
+
+@pytest.mark.parametrize("command", ["finite", "edge", "zak"])
+def test_io_failure_names_the_given_path(tmp_path, command):
+    # the error names --out as given, not the random temporary file beside
+    # it, so reruns print the same bytes
+    argv = {"finite": ["finite", *BOX], "zak": ["zak", *BULK],
+            "edge": ["edge", *BOX, "--n-a", "1", "--n-b", "1"]}[command]
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])}
+    runs = [subprocess.run([sys.executable, "-m", "nonlocal_ssh", *argv, "--out", "nodir/x.csv"],
+                           capture_output=True, text=True, cwd=tmp_path, env=env)
+            for _ in range(2)]
+    errors = [[line for line in r.stderr.splitlines() if "finished in" not in line] for r in runs]
+    assert [r.returncode for r in runs] == [3, 3]
+    assert errors[0] == errors[1]
+    assert errors[0][-1] == "io error: [Errno 2] No such file or directory: 'nodir/x.csv'"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_negative_tolerance_rejected():
@@ -264,7 +300,7 @@ def test_zero_mode_window_refused(tmp_path, capsys, command, tol, w0):
     (["bands", *BULK, "--kmin", "nan"], "--kmin must be finite"),
     (["approx", *BULK, "--order", "1", "--kmin=-inf"], "--kmin must be finite"),
     (["approx", *BULK, "--order", "2", "--kmax", "nan"], "--kmax must be finite"),
-    (["approx", *BULK, "--kmax", "inf"], "--kmin/--kmax need a single --order"),
+    (["approx", *BULK, "--kmax", "inf"], "--kmax applies to a single order only"),
     (["berry", *BULK, "--order", "1", "--cutoff-k", "nan"], "cutoff_k must be finite"),
     (["berry", *BULK, "--order", "2", "--cutoff-k", "inf"], "cutoff_k must be finite"),
     (["bands", "--v", "0.5", "--w", "1", "--a", "0"], "a must be positive"),
@@ -314,7 +350,9 @@ def test_approx_all_orders_refuses_k_range(tmp_path, capsys, flags):
             argv = ["approx", *BULK, *order, *flags, "--samples", "3", *extra]
             assert cli.main(argv) == 2
             stdout, err = capsys.readouterr()
-            assert stdout == "" and "--kmin/--kmax need a single --order" in err
+            given = "/".join(flag for flag in ("--kmin", "--kmax") if flag in flags)
+            assert stdout == "" and f"error: {given} applies to a single order only;" in err
+            assert "--order" not in err  # it names only flags that were given
     assert out.read_bytes() == b"earlier result\n"
     assert cli.main(["approx", *BULK, "--order", "1", *flags, "--samples", "3"]) == 0
 
@@ -546,6 +584,15 @@ def test_levels_beyond_float_max_refused(tmp_path, capsys, argv, to_file):
     # no zero modes outside the topological phase |v0| < |w0|
     ("edge --v0 1 --w0 0.5 --a 0.2 --L 2 --dx 0.05 --n-a 1 --n-b 1", 2,
      "v0 = 1.0, w0 = 0.5 is not in the topological phase"),
+    # the envelope fit took raw positions: slopes 0 and a polyfit warning at
+    # a = 1e300, a LinAlgError traceback at a = 1e-200
+    ("edge --v0 0.5 --w0 1 --a 1e300 --L 2e301 --dx 1e299 --n-a 1 --n-b 1", 0, None),
+    ("edge --v0 0.5 --w0 1 --a 1e-200 --L 2e-199 --dx 1e-201 --n-a 1 --n-b 1", 0, None),
+    # w0/v0 underflowed (a divide-by-zero warning) or overflowed (growth inf)
+    ("edge --v0 1e300 --w0 1e-300 --a 1 --L 20 --dx 0.1 --n-a 1 --n-b 1", 2,
+     "v0 = 1e+300, w0 = 1e-300 is not in the topological phase"),
+    ("edge --v0 1e-300 --w0 1e300 --a 1 --L 20 --dx 0.1 --n-a 1 --n-b 1", 3,
+     "ln|w0/v0|*L/a = 27631 is too large"),
 ])
 def test_extreme_inputs_answer_or_refuse_cleanly(capsys, argv, code, message):
     assert cli.main(argv.split()) == code
@@ -622,6 +669,18 @@ def _scipy_modules_in_child(code):
 
 def test_import_loads_no_scipy():
     assert _scipy_modules_in_child("import sys\nimport nonlocal_ssh\n" + _LIST_SCIPY) == "[]"
+
+
+def test_import_leaves_the_chain_solver_unloaded():
+    # the closed-form chain solver is compiled on the first box solved, so a
+    # process that never solves one does not pay for it
+    code = ("import sys\nimport nonlocal_ssh\nprint('nonlocal_ssh._chain' in sys.modules)\n"
+            "from nonlocal_ssh import FiniteParams, build_finite, spectrum\n"
+            "spectrum(build_finite(FiniteParams(v0=0.5, w0=1.0, a=0.2, L=2.0, dx=0.05)))\n"
+            "print('nonlocal_ssh._chain' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["False", "True"]
 
 
 def test_cli_zak_loads_no_scipy():

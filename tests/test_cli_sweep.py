@@ -2,7 +2,8 @@
 
 Couplings are drawn log-uniform over [1e-320, 1e308] with random signs and
 the hop length a over [1e-323, 1e308], each passed as a token of its own,
-with small grids and optional wide k ranges and Berry cutoffs. Every run
+with small grids and optional wide k ranges (also on the all-orders
+approx table, which refuses them) and Berry cutoffs. Every run
 answers or refuses cleanly: exit 0, 2 or 3, no Python warning, and a
 refusal writes one stderr line, naming no flag the command line does not
 hold, and nothing to stdout. An answer is right: bands against
@@ -52,13 +53,12 @@ def bulk_runs(draw):
     argv = [command, "--v", repr(v), "--w", repr(w), "--a", repr(a)]
     if command in ("bands", "approx"):
         argv += ["--samples", str(draw(st.integers(2, 9)))]
-        order = draw(st.sampled_from(["all", "0", "1", "2"])) if command == "approx" else None
-        if order:
-            argv += ["--order", order]
-        if order != "all":
-            for flag in ("--kmin", "--kmax"):
-                if draw(st.booleans()):
-                    argv += [flag, repr(draw(_signed(WIDE)))]
+        if command == "approx":  # no --order is the all-orders table
+            order = draw(st.sampled_from([None, "all", "0", "1", "2"]))
+            argv += ["--order", order] if order else []
+        for flag in ("--kmin", "--kmax"):
+            if draw(st.booleans()):
+                argv += [flag, repr(draw(_signed(WIDE)))]
     elif command == "zak":
         argv += ["--method", draw(st.sampled_from(["wilson", "analytic"])),
                  "--band", draw(st.sampled_from(["plus", "minus"])),

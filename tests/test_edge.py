@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nonlocal_ssh import cli
 from nonlocal_ssh.edge import (
     COMPONENTS,
     EdgeLabels,
@@ -14,7 +16,7 @@ from nonlocal_ssh.edge import (
     phase_label,
     zero_mode_exponents,
 )
-from nonlocal_ssh.errors import ValidationError
+from nonlocal_ssh.errors import NumericalError, ValidationError
 from nonlocal_ssh.finite import build_finite, spectrum
 from nonlocal_ssh.model import FiniteParams, make_grid
 
@@ -240,3 +242,55 @@ def test_analytic_modes_live_in_numerical_kernel():
         vec = np.concatenate([st.psi_a, st.psi_b])
         remainder = vec - basis @ (basis.conj().T @ vec)
         assert np.linalg.norm(remainder) < 1e-6
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a", [1e-300, 1e-200, 1.0, 1e200, 1e300])
+def test_localization_fit_at_any_hop_length(capsys, a):
+    # the fit used to take raw positions: x^2 overflowed at a = 1e300 (slopes
+    # 0 and a polyfit warning, exit 0) and underflowed at a = 1e-200
+    # (LinAlgError); on x over a power of two the fitted rates are Re q to
+    # 1e-12 at every a, and the fit keeps its bits where the old one worked
+    params = FiniteParams(v0=0.5, w0=1.0, a=a, L=20 * a, dx=a / 10)
+    q_a, q_b = zero_mode_exponents(params)
+    argv = ["edge", "--v0", "0.5", "--w0", "1", "--a", repr(a), "--L", repr(20 * a),
+            "--dx", repr(a / 10), "--n-a", "1", "--n-b", "1"]
+    assert cli.main(argv) == 0
+    result = json.loads(capsys.readouterr().err.splitlines()[0])["result"]
+    assert result["fitted_slope_a"] == pytest.approx(q_a.real, rel=1e-12)
+    assert result["fitted_slope_b"] == pytest.approx(q_b.real, rel=1e-12)
+    if a == 1.0:
+        grid = make_grid(params)
+        mode = build_zero_mode(params, "A", EdgeLabels(n=1, m=0)).state.psi_a
+        fit = localization_fit(grid, mode, a)
+        assert (fit.slope, fit.intercept) == _loop_localization_fit(grid, mode, a)[:2]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-200, 1e-300, 1.0, 1e300])
+def test_edge_residual_at_any_coupling_magnitude(scale):
+    # v0 * w0 underflowed (Im q = 0, a wrong mode) and the residual's squares
+    # underflowed to 0 at 1e-200; the residual scales with the couplings
+    params = FiniteParams(v0=0.5 * scale, w0=scale, a=1.0, L=20.0, dx=0.1)
+    unit = FiniteParams(v0=0.5, w0=1.0, a=1.0, L=20.0, dx=0.1)
+    q_a, q_b = zero_mode_exponents(params)
+    assert (q_a, q_b) == zero_mode_exponents(unit)
+    got = [operator_residual(build_finite(p), build_zero_mode(p, "A", EdgeLabels(1, 0)).state)
+           for p in (params, unit)]
+    assert got[1] == pytest.approx(8.26e-7, rel=1e-3)
+    assert got[0] == pytest.approx(got[1] * scale, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_coupling_ratio_beyond_float64():
+    # |w0/v0| underflows to 0 (a divide-by-zero warning before the refusal)
+    # or overflows to inf (the refusal printed ln|w0/v0|*L/a = inf); the log
+    # of each coupling gives 2 ln(1e300) = 1381.55...
+    flipped = FiniteParams(v0=1e300, w0=1e-300, a=1.0, L=20.0, dx=0.1)
+    q_a, _ = zero_mode_exponents(flipped)
+    assert q_a.real == pytest.approx(2 * 300 * np.log(10.0), rel=1e-14)
+    with pytest.raises(ValidationError, match="not in the topological phase"):
+        build_zero_mode(flipped, "A", EdgeLabels(1, 0))
+    wide = FiniteParams(v0=1e-300, w0=1e300, a=1.0, L=20.0, dx=0.1)
+    with pytest.raises(NumericalError, match=r"ln\|w0/v0\|\*L/a = 27631 is too large"):
+        build_zero_mode(wide, "A", EdgeLabels(1, 0))

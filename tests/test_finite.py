@@ -1,20 +1,25 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from box_reference import box_h, reference_c, reference_h, symmetry_defects
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nonlocal_ssh.errors import ValidationError
+from nonlocal_ssh.errors import NumericalError, ValidationError
 from nonlocal_ssh.finite import (
     DENSE_MAX_ELEMENTS,
+    MAX_LEVELS,
     FiniteOperator,
     HopBlock,
     SshChain,
+    _chain_eigensystem,
     _sampled_residual,
     build_finite,
     chain_decomposition,
+    check_levels,
     compare_ssh,
     decoupled_spectrum,
     kolmogorov_distance,
@@ -209,26 +214,65 @@ def test_symmetry_identities_exact_on_large_box():
     assert out.psi_a[0] == 0.5 and out.psi_a[-1] == 1.5
 
 
+def _sturm_counts(v, w, n_cells, energies):
+    # levels below each energy of the interleaved open chain (off-diagonals
+    # v, w, v, ..., v), counted by the signs of its LDL^T pivots (Barth,
+    # Martin & Wilkinson, Numer. Math. 9, 386 (1967)); no eigensolver
+    energies = np.asarray(energies, dtype=float)
+    d = -energies
+    count = (d < 0).astype(int)
+    for b in np.resize([v, w], 2 * n_cells - 1):
+        d = -energies - b * b / np.where(d == 0.0, 1e-300, d)
+        count += d < 0
+    return count
+
+
 def test_chain_block_guard_refuses_long_chains():
-    # m = 1 makes the whole box one 40001-cell chain (block 12.8 GB dense);
+    # m = 1 makes the whole box one 40001-cell chain (block 12.8 GB dense):
+    # spectrum() solves it without a dense block, and Sturm counts agree;
     # compare_ssh's single chain has P = 10001 cells (0.8 GB) even though
-    # this box's own chains (m = 20) have about 500 cells each
+    # this box's own chains (m = 20) have about 500 cells each: refused
     single = FiniteParams(v0=0.5, w0=1.0, a=0.01, L=400.0, dx=0.01)
     wide = FiniteParams(v0=0.5, w0=1.0, a=0.2, L=100.0, dx=0.01)
     assert (single.hop_steps, single.n_points) == (1, 40001)
     assert (wide.hop_steps, wide.n_points) == (20, 10001)
     assert wide.n_points**2 > DENSE_MAX_ELEMENTS
-    op = build_finite(single)
+    res = spectrum(build_finite(single))
+    assert res.eigenvalues.size == 80002 and res.residual_bound < 1e-12
+    assert zero_mode_count(res.eigenvalues, 1e-8) == 2
+    cuts = np.array([-1.4, -0.9, -0.51, -1e-9, 1e-9, 0.5000001, 0.7, 1.2, 1.49])
+    assert np.array_equal(np.searchsorted(res.eigenvalues, cuts), _sturm_counts(0.5, 1.0, 40001, cuts))
     tracemalloc.start()
     try:
-        with pytest.raises(ValidationError, match="40001-cell chain"):
-            spectrum(op)
         with pytest.raises(ValidationError, match="10001-cell chain"):
             compare_ssh(wide)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000  # refused before allocating
+
+
+def test_levels_guard():
+    # the largest admitted box has MAX_LEVELS levels; one more grid point is
+    # refused, naming --L, --dx and the level count, before anything is
+    # allocated (spectrum checks the parameters, not the operator's grid)
+    at_ceiling = FiniteParams(v0=0.5, w0=1.0, a=1.0, L=MAX_LEVELS // 2 - 1.0, dx=1.0)
+    above = FiniteParams(v0=0.5, w0=1.0, a=1.0, L=MAX_LEVELS // 2 * 1.0, dx=1.0)
+    assert 2 * at_ceiling.n_points == MAX_LEVELS
+    check_levels(at_ceiling)
+    op = FiniteOperator(params=above, grid=make_grid(SMALL), c_block=HopBlock(1.0, 1.0, 1, 3))
+    message = (f"the box --L = 2097152.0, --dx = 1.0 has {MAX_LEVELS + 2} levels, "
+               f"above the ceiling MAX_LEVELS = {MAX_LEVELS}")
+    tracemalloc.start()
+    try:
+        for refuse in (lambda: check_levels(above), lambda: spectrum(op)):
+            with pytest.raises(ValidationError) as err:
+                refuse()
+            assert str(err.value) == message
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_dense_ceiling_admits_acceptance_box():
@@ -306,7 +350,8 @@ def _dense_eigensystem(op):
 
 def _eigensystem(op, method):
     # eigenvalues, pair(j) -> (psi_a, psi_b) and the sampled residual bound,
-    # from spectrum()'s chain route ("svd") or from eigh of H ("dense")
+    # from spectrum()'s closed-form chain route (id "svd", kept from the
+    # former SVD route) or from eigh of H ("dense")
     if method == "dense":
         evals, pair = _dense_eigensystem(op)
         return evals, pair, _sampled_residual(op, evals, pair)
@@ -417,3 +462,102 @@ def test_norm_bound():
     # |v0| + |w0| bounds the spectral norm
     ev = spectrum(build_finite(SMALL)).eigenvalues
     assert np.max(np.abs(ev)) <= abs(SMALL.v0) + abs(SMALL.w0) + 1e-12
+
+
+def test_batched_states_have_the_bits_of_single_ones():
+    # the residual builds its 19 states in one pass; each must be the state
+    # res.vectors[j] builds alone, bit for bit, in every sign pair and with
+    # two cell counts, the edge pair included
+    for signs in SIGNS:
+        op = build_finite(FiniteParams(v0=signs[0] * 0.6, w0=signs[1] * 1.3, a=0.3, L=2.1, dx=0.1))
+        res = spectrum(op)
+        _, states = _chain_eigensystem(op)
+        levels = np.arange(op.dimension)
+        psi_a, psi_b = states(levels)
+        for j in levels:
+            assert np.array_equal(psi_a[:, j], res.vectors[j].psi_a.real)
+            assert np.array_equal(psi_b[:, j], res.vectors[j].psi_b.real)
+
+
+def _dense_chain_levels(n_cells, v, w):
+    # singular values of the chain block, built entry by entry
+    block = np.zeros((n_cells, n_cells))
+    for i in range(n_cells):
+        block[i, i] = v
+        if i:
+            block[i, i - 1] = w
+    return np.linalg.svd(block, compute_uv=False)
+
+
+@st.composite
+def _chain_boxes(draw):
+    # boxes of m chains with n and n - 1 cells (1-cell chains when p < 2m):
+    # equal couplings, the dimer limits, n near |v|/(|w| - |v|) where the
+    # edge pair turns into a real root, log-uniform ratios, any signs, and
+    # magnitudes from 1e-320 to 1e308
+    m = draw(st.integers(1, 5))
+    p = draw(st.one_of(st.integers(m + 2, max(m + 2, 2 * m - 1)), st.integers(m + 2, 60 * m)))
+    n = -(-p // m)
+    kind = draw(st.sampled_from(["ratio", "equal", "v=0", "w=0", "threshold"]))
+    if kind == "threshold":  # n (w - v) = v (1 + delta) with |delta| <= 1e-6
+        weak = 1.0 / (1.0 + (1.0 + draw(st.sampled_from([0.0, 1e-14, -1e-14, 1e-9, -1e-6]))) / n)
+        strong = 1.0
+    else:
+        weak = {"equal": 1.0, "v=0": 0.0, "w=0": 0.0}.get(kind, 10.0 ** draw(st.floats(-3, 0)))
+        strong = 1.0
+    if kind not in ("v=0", "threshold") and draw(st.booleans()):
+        weak, strong = strong, weak  # |v| > |w|: trivial, or w = 0
+    scale = 10.0 ** draw(st.floats(-320, 308))
+    sign_v, sign_w = draw(st.sampled_from(SIGNS))
+    v0, w0 = sign_v * weak * scale, sign_w * strong * scale
+    assume(v0 != 0.0 or w0 != 0.0)
+    return FiniteParams(v0=v0, w0=w0, a=m * 0.1, L=(p - 1) * 0.1, dx=0.1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_chain_boxes())
+def test_chain_levels_match_svd_at_every_scale(params):
+    # the closed form against LAPACK's SVD of each distinct chain block,
+    # taken on the couplings over a power of two e and scaled back, to
+    # 1e-13 (|v0| + |w0|) or the subnormal spacing; a box whose levels pass
+    # the float64 maximum is refused; the sampled pairs are eigenpairs of
+    # the operator to 1e-12 (|v0| + |w0|) or 2^-1074 per entry
+    op = build_finite(params)
+    e = math.frexp(max(abs(params.v0), abs(params.w0)))[1]
+    want = np.sort(np.concatenate([
+        _dense_chain_levels(c.n_cells, math.ldexp(params.v0, -e), math.ldexp(params.w0, -e))
+        for c in chain_decomposition(op)]))
+    with np.errstate(over="ignore"):
+        want = np.ldexp(want, e)
+    if not np.isfinite(want).all():
+        with pytest.raises(NumericalError, match="exceed the float64 range"):
+            spectrum(op)
+        return
+    res = spectrum(op)
+    norm = 2.0 * max(abs(params.v0), abs(params.w0))
+    got = res.eigenvalues[op.n_points:]
+    assert np.max(np.abs(got - want)) <= max(1e-13 * norm, 4 * 2.0**-1074)
+    assert np.array_equal(res.eigenvalues, -res.eigenvalues[::-1])
+    assert np.all(res.eigenvalues[1:] >= res.eigenvalues[:-1])
+    assert res.residual_bound <= 1e-12 * norm + 16 * op.n_points * 2.0**-1074
+    for j in (0, op.n_points - 1, op.n_points, 2 * op.n_points - 1):
+        assert np.linalg.norm(res.vectors[j].psi_a) ** 2 * 2 == pytest.approx(1.0, abs=1e-14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 4000), st.integers(1, 3), st.floats(0.05, 0.95),
+       st.floats(-300, 300), st.sampled_from(SIGNS))
+def test_smallest_level_has_full_relative_accuracy(n, m, ratio, exponent, signs):
+    # a topological box's smallest level is its longest chains' edge pair,
+    # (w0^2 - v0^2)/|w0| |v0/w0|^n up to a relative n |v0/w0|^(2n), here
+    # below 1e-14; exact rational arithmetic gives the reference
+    assume(n * ratio ** (2 * n) < 1e-14)
+    w0 = signs[1] * 10.0**exponent
+    v0 = signs[0] * ratio * abs(w0)
+    params = FiniteParams(v0=v0, w0=w0, a=m * 0.1, L=(n * m - 1) * 0.1, dx=0.1)
+    assert max(c.n_cells for c in chain_decomposition(build_finite(params))) == n
+    v, w = Fraction(abs(v0)), Fraction(abs(w0))
+    want = float((w * w - v * v) / w * (v / w) ** n)
+    assume(want >= 2.2250738585072014e-308)  # until it underflows
+    got = spectrum(build_finite(params)).eigenvalues[n * m]
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
