@@ -1,6 +1,6 @@
 """Closed-form levels and states of one open SSH chain.
 
-finite.spectrum solves each distinct chain of the box with ChainLevels.
+finite.spectrum solves the distinct chains of the box with chain_levels.
 This module is imported on first use, so a process that never solves a
 box does not compile it.
 """
@@ -32,6 +32,9 @@ class ChainLevels:
     level v sinh kappa / sinh n kappa keeps full relative accuracy.
     Delplace, Ullmo & Montambaux, PRB 84, 195452 (2011).
 
+    chain_levels builds the chains of a box, which share v0 and w0, and
+    solves their brackets together; a chain of one cell needs no root.
+
     Column c counts levels in descending order: the brackets j = n - 1,
     n - 2, ... and the edge pair last. For |v0|, |w0| the right singular
     vector of bracket j is y_k = sin(k theta), k = 1..n, and of the edge
@@ -42,8 +45,8 @@ class ChainLevels:
     """
 
     def __init__(self, n: int, v0: float, w0: float):
-        exponent = math.frexp(max(abs(v0), abs(w0)))[1] - 1
-        v, w = math.ldexp(abs(v0), -exponent), math.ldexp(abs(w0), -exponent)
+        self.exponent = math.frexp(max(abs(v0), abs(w0)))[1] - 1
+        v, w = math.ldexp(abs(v0), -self.exponent), math.ldexp(abs(w0), -self.exponent)
         self.n, self.v, self.w = n, v, w
         self.s_v = math.copysign(1.0, v0 if v0 != 0.0 else w0)
         self.same_sign = not (v0 < 0.0 < w0 or w0 < 0.0 < v0)
@@ -53,48 +56,19 @@ class ChainLevels:
         if n == 1:  # B = (v0); its vector sin(theta) normalizes to 1 for any root
             self.eps = np.array([0.5 * self.h])
             self.sigma = np.array([abs(v0)])
-            return
-        self.eps = self._bracket_roots()
-        t = self.j * self.h + self.eps
+
+    def _set_roots(self, eps: np.ndarray) -> None:
+        """The levels of a chain of n > 1 cells, from the roots eps of its brackets."""
+        self.eps = eps
+        v, w = self.v, self.w
+        t = self.j * self.h + eps
         with np.errstate(over="ignore"):  # spectrum() refuses levels beyond float64
             sigma = np.ldexp(np.hypot(w - v, 2.0 * math.sqrt(v) * math.sqrt(w) * np.sin(0.5 * t)),
-                             exponent)
+                             self.exponent)
         if self.edge:
             self.kappa = self._edge_root()
-            sigma = np.append(sigma, self._edge_level(exponent))
+            sigma = np.append(sigma, self._edge_level(self.exponent))
         self.sigma = sigma
-
-    def _bracket_roots(self) -> np.ndarray:
-        """eps of every nonempty bracket: closed forms, else Newton kept inside the bracket."""
-        n, v, w, j, h = self.n, self.v, self.w, self.j, self.h
-        if w == 0.0:  # B = v*I: theta = (n - j) pi/(n + 1)
-            return np.full(j.size, h)
-        if v == w:  # theta = 2 (n - j) pi/(2n + 1)
-            return (n + 1 + j) * (math.pi / ((2 * n + 1) * (n + 1)))
-        if v == 0.0:  # B = w*S: theta = (n - j) pi/n
-            return j * (h / n)
-        lo, hi = np.zeros(j.size), np.full(j.size, h)
-        jh = j * h
-        t = jh + h
-        eps = np.minimum(h, np.arctan2(w * np.sin(t), (w - v) - 2.0 * w * np.sin(0.5 * t) ** 2)
-                         / (n + 1))
-        with np.errstate(divide="ignore", invalid="ignore"):  # a step f/0 bisects instead
-            for _ in range(_ROOT_STEPS):
-                t = jh + eps
-                s2 = np.sin(0.5 * t) ** 2
-                re, im = (w - v) - 2.0 * w * s2, w * np.sin(t)  # w e^{it} - v, no cancellation
-                f = (n + 1) * eps - np.arctan2(im, re)
-                # d arg/dt = w (w - v cos t) / |w e^{it} - v|^2
-                df = (n + 1) - w * ((w - v) + 2.0 * v * s2) / ((w - v) ** 2 + 4.0 * v * w * s2)
-                np.copyto(lo, eps, where=f < 0.0)
-                np.copyto(hi, eps, where=f > 0.0)
-                step = f / df
-                done = np.abs(step) <= 4.0 * EPS * eps
-                new = eps - step
-                eps = np.where(done | ((new > lo) & (new < hi)), new, 0.5 * (lo + hi))
-                if done.all():
-                    break
-        return eps
 
     def _edge_root(self) -> float:
         """kappa >= 0 of the edge pair (0 where n(w - v) = v); inf when v = 0."""
@@ -180,3 +154,62 @@ class ChainLevels:
         if self.same_sign:
             xy[:, :, 1::2] *= -1.0
         return xy
+
+
+def chain_levels(lengths: list[int], v0: float, w0: float) -> list[ChainLevels]:
+    """The chains of the given cell counts with couplings v0, w0, their brackets solved in one loop."""
+    chains = [ChainLevels(n, v0, w0) for n in lengths]
+    longer = [chain for chain in chains if chain.n > 1]
+    for chain, eps in zip(longer, _bracket_roots(longer)):
+        chain._set_roots(eps)
+    return chains
+
+
+def _bracket_roots(chains: list[ChainLevels]) -> list[np.ndarray]:
+    """eps of every nonempty bracket of each chain: closed forms, else Newton kept inside the bracket.
+
+    The chains share v and w; one loop solves the brackets of all of them,
+    with n and h per bracket. A chain's roots are taken from the step at
+    which all of its brackets have converged, where a loop of its own
+    would stop, so every root has the bits it has when its chain is solved
+    alone.
+    """
+    if not chains:
+        return []
+    v, w = chains[0].v, chains[0].w
+    if w == 0.0:  # B = v*I: theta = (n - j) pi/(n + 1)
+        return [np.full(c.j.size, c.h) for c in chains]
+    if v == w:  # theta = 2 (n - j) pi/(2n + 1)
+        return [(c.n + 1 + c.j) * (math.pi / ((2 * c.n + 1) * (c.n + 1))) for c in chains]
+    if v == 0.0:  # B = w*S: theta = (n - j) pi/n
+        return [c.j * (c.h / c.n) for c in chains]
+    sizes = [c.j.size for c in chains]
+    spans = [slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
+    j = np.concatenate([c.j for c in chains])
+    n1 = np.repeat([c.n + 1.0 for c in chains], sizes)
+    h = np.repeat([c.h for c in chains], sizes)
+    lo, hi = np.zeros(j.size), h.copy()
+    jh = j * h
+    t = jh + h
+    eps = np.minimum(h, np.arctan2(w * np.sin(t), (w - v) - 2.0 * w * np.sin(0.5 * t) ** 2) / n1)
+    roots = [None] * len(chains)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a step f/0 bisects instead
+        for _ in range(_ROOT_STEPS):
+            t = jh + eps
+            s2 = np.sin(0.5 * t) ** 2
+            re, im = (w - v) - 2.0 * w * s2, w * np.sin(t)  # w e^{it} - v, no cancellation
+            f = n1 * eps - np.arctan2(im, re)
+            # d arg/dt = w (w - v cos t) / |w e^{it} - v|^2
+            df = n1 - w * ((w - v) + 2.0 * v * s2) / ((w - v) ** 2 + 4.0 * v * w * s2)
+            np.copyto(lo, eps, where=f < 0.0)
+            np.copyto(hi, eps, where=f > 0.0)
+            step = f / df
+            done = np.abs(step) <= 4.0 * EPS * eps
+            new = eps - step
+            eps = np.where(done | ((new > lo) & (new < hi)), new, 0.5 * (lo + hi))
+            for c, span in enumerate(spans):
+                if roots[c] is None and done[span].all():
+                    roots[c] = eps[span]  # each step makes a new eps
+            if all(r is not None for r in roots):
+                break
+    return [eps[span] if r is None else r for r, span in zip(roots, spans)]

@@ -22,6 +22,16 @@ Fallback. format_float writes the values the kernel cannot round with
 certainty, spliced in place: nonzero |x| outside [1e-250, 1e250), and
 values whose scaled fraction lies within 2**-30 of 1/2 (possible ties).
 
+Index route. indexed_rows_text(rows, start) writes a block whose first
+column is start, start + 1, ... (a level table) from its distinct values.
+The index is written as integer digits. Down each value column, a run of
+bit-equal values is formatted once, so 0.0 and -0.0 never merge, and the
+runs' distinct magnitudes are formatted once each: one by one up to
+PER_VALUE_MAX of them, else by the kernel; a "-" is put before the
+negative ones. Each row is laid out in a compact fixed-width buffer:
+index, then a comma and each column's text, NUL-padded to the column's
+widest, then the newline; the padding is deleted once.
+
 The tables are built when this module is first imported, which
 serialize.emit_csv defers to the first table it writes.
 """
@@ -97,14 +107,22 @@ def _scaled(a: np.ndarray, e10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rows_text(rows: np.ndarray) -> bytes:
-    """CSV lines of a 2-d block of finite floats, each field "%.17g" % x.
+    """CSV lines of a 2-d block of finite floats, each field "%.17g" % x."""
+    text = _fields(rows.ravel())
+    seps = np.full(rows.shape[1], ord(","), np.uint8)
+    seps[-1] = ord("\n")
+    text.reshape(rows.shape + (48,))[:, :, 47] = seps
+    return text.tobytes().translate(None, b"\0")
+
+
+def _fields(x: np.ndarray) -> np.ndarray:
+    """The "%.17g" text of each of a 1-d block of finite floats, NUL-padded to 48 bytes.
 
     Each value gets six uint64 words, 48 bytes: the sign at byte 0, the
     "0.000" prefix at 1-5, the 17 digits at 6, 8, ..., 38, each followed by
-    a gap byte that holds the point or NUL, the exponent at 40-44 and the
-    separator at 47.
+    a gap byte that holds the point or NUL, and the exponent at 40-44;
+    byte 47 is left NUL for a separator.
     """
-    x = rows.ravel()
     n = x.size
     a = np.abs(x)
     fast = (a >= FAST_MIN) & (a < FAST_MAX)
@@ -144,9 +162,6 @@ def rows_text(rows: np.ndarray) -> bytes:
     for k, g in enumerate(groups):
         words[:, k + 1] = _QUADS[g] & _KEEP_MASKS[np.clip(keep - 1 - 4 * k, 0, 4)]
     words[:, 5] = _EXPS[np.where(fixed, -1, e10 + 330)]
-    seps = np.full(rows.shape[1], ord(","), np.uint64)
-    seps[-1] = ord("\n")
-    words.reshape(rows.shape + (6,))[:, :, 5] |= seps << 56
     text = words.view(np.uint8).reshape(n, 48)
     dotted = np.flatnonzero(keep > point + 1)
     text.reshape(-1)[48 * dotted + 7 + 2 * point[dotted]] = ord(".")
@@ -155,4 +170,62 @@ def rows_text(rows: np.ndarray) -> bytes:
     if slow.size:
         strings = [format_float(v) for v in x[slow].tolist()]
         text[slow, :47] = np.array(strings, dtype="S47").view(np.uint8).reshape(-1, 47)
-    return text.tobytes().translate(None, b"\0")
+    return text
+
+
+# up to this many values a column's texts are formatted one by one, which
+# beats the kernel's fixed cost
+PER_VALUE_MAX = 256
+
+
+def _texts(values: np.ndarray) -> np.ndarray:
+    """The "%.17g" text of each value, NUL-padded, as a (k, width) uint8 array.
+
+    Each distinct magnitude is formatted once: the text of -x is "-" and
+    that of |x|, and a NUL stands in for the sign of the others.
+    """
+    mags, which = np.unique(np.abs(values), return_inverse=True)
+    if mags.size <= PER_VALUE_MAX:
+        texts = np.array([b"%.17g" % v for v in mags.tolist()])  # finite, checked by the caller
+        texts = texts.view(np.uint8).reshape(mags.size, -1)
+    else:
+        texts = _fields(mags)[:, :47]
+    out = np.empty((values.size, 1 + texts.shape[1]), np.uint8)
+    out[:, 0] = np.signbit(values) * ord("-")
+    out[:, 1:] = texts[which]
+    return out
+
+
+def indexed_rows_text(rows: np.ndarray, start: int) -> bytes:
+    """CSV lines of a block of finite floats whose first column is start, start + 1, ...
+
+    The same bytes as rows_text(rows). The index is written four digits
+    to a _QUADS word, its leading zeros blanked row range by row range
+    (the index ascends); each run of bit-equal values down a column is
+    formatted once and copied to every row of the run.
+    """
+    n = rows.shape[0]
+    index = np.arange(start, start + n)
+    quads = -(-len(str(start + n - 1)) // 4)
+    runs = []
+    for col in rows[:, 1:].T:
+        bits = col.view(np.int64)
+        head = np.empty(n, bool)
+        head[0] = True
+        np.not_equal(bits[1:], bits[:-1], out=head[1:])
+        runs.append((_texts(col[head]), np.cumsum(head) - 1))
+    buf = np.zeros((n, 8 * quads + sum(1 + texts.shape[1] for texts, _ in runs) + 1), np.uint8)
+    for k in range(quads):
+        g = index // 10 ** (4 * (quads - 1 - k)) % 10**4
+        buf[:, 8 * k : 8 * k + 8] = _QUADS[g].view(np.uint8).reshape(n, 8)
+    for d in range(4 * quads - 1):  # digit d is a leading zero below 10**(4 quads - 1 - d)
+        buf[: max(0, 10 ** (4 * quads - 1 - d) - start), 2 * d] = 0
+    pos = 8 * quads
+    for texts, run in runs:
+        width = texts.shape[1]
+        buf[:, pos] = ord(",")
+        field = f"V{width}"  # each text as one item, copied straight into its rows
+        np.take(texts.view(field)[:, 0], run, out=buf[:, pos + 1 : pos + 1 + width].view(field)[:, 0])
+        pos += 1 + width
+    buf[:, pos] = ord("\n")
+    return buf.tobytes().translate(None, b"\0")

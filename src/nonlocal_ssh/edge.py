@@ -73,19 +73,36 @@ def zero_mode_exponents(params: FiniteParams) -> tuple[complex, complex]:
     Re q_A = -Re q_B = -(1/a) ln|w0/v0|, Im q_A = -Im q_B = pi/a for
     couplings of equal sign and 0 for opposite signs, so that exp(q_A a)
     equals the per-hop factor -v0/w0. The A mode grows toward the left
-    wall and the B mode toward the right wall when |w0| > |v0|.
+    wall and the B mode toward the right wall when |w0| > |v0|. A rate
+    beyond the float64 range (a subnormal a) is a ValidationError naming --a.
     """
     if params.v0 == 0.0 or params.w0 == 0.0:
         raise ValidationError("zero-mode exponents need v0 != 0 and w0 != 0")
     rate = _log_ratio(params) / params.a
     turn = np.pi / params.a if (params.v0 > 0.0) == (params.w0 > 0.0) else 0.0  # v0*w0 may underflow
+    if not math.isfinite(rate):
+        raise ValidationError(
+            f"the decay rate ln|w0/v0|/a at --a = {params.a!r} leaves the float64 range"
+        )
+    if not math.isfinite(turn):
+        raise ValidationError(f"the phase rate pi/a at --a = {params.a!r} leaves the float64 range")
     return complex(-rate, turn), complex(rate, 0.0 - turn)  # no -0.0 in the output
+
+
+def _over_a(factor: float, length, a: float):
+    """factor * length / a; length / a is formed first only where factor * length overflows."""
+    with np.errstate(over="ignore"):
+        scaled = factor * length
+    if not np.isfinite(scaled).all():
+        return factor * (length / a)
+    scaled /= a  # in place for a grid: one array, as the plain expression
+    return scaled
 
 
 def phase_label(n: int, m: int, params: FiniteParams) -> float:
     """Hard-wall phase offset (2m+1) pi/2 + n pi L / a for harmonic n."""
     _check_labels(n, m, params)
-    return float((2 * m + 1) * np.pi / 2.0 + n * np.pi * params.L / params.a)
+    return float((2 * m + 1) * np.pi / 2.0 + _over_a(n * np.pi, params.L, params.a))
 
 
 def _check_labels(n: int, m: int, params: FiniteParams) -> None:
@@ -95,7 +112,7 @@ def _check_labels(n: int, m: int, params: FiniteParams) -> None:
         raise ValidationError("n = 0 makes the oscillatory factor vanish identically")
     if n < 0:
         raise ValidationError(f"harmonic n must be positive, got {n}")
-    ratio = 2.0 * n * params.L / params.a
+    ratio = _over_a(2.0 * n, params.L, params.a)
     if abs(ratio - round(ratio)) > 1e-9 * max(1.0, abs(ratio)):
         raise ValidationError(
             f"2nL/a = {ratio} is not an integer: cosine cannot vanish at both walls"
@@ -127,7 +144,7 @@ def build_zero_mode(params: FiniteParams, component: str, labels: EdgeLabels) ->
     q = q_a if component == "A" else q_b
     phi = phase_label(labels.n, labels.m, params)
     grid = make_grid(params)
-    osc = np.cos(2.0 * np.pi * labels.n * grid.x / params.a + phi)
+    osc = np.cos(_over_a(2.0 * np.pi * labels.n, grid.x, params.a) + phi)
     if np.max(np.abs(osc)) < 1e-9:
         raise ValidationError(
             f"harmonic n = {labels.n} vanishes at every grid point of this box"

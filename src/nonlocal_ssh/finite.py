@@ -195,12 +195,12 @@ def _chain_eigensystem(op: FiniteOperator):
     # The chains share (v0, w0) and at most two cell counts, so each count
     # is solved once: chain r holds cells[r] cells, the longer ones first.
     # The solver module is compiled on first use, not when the package loads.
-    from ._chain import ChainLevels
+    from ._chain import chain_levels
 
     p, m = op.n_points, op.hop_steps
     cells = (p - 1 - np.arange(m)) // m + 1
     lengths = sorted({int(cells[0]), int(cells[-1])}, reverse=True)
-    solved = {n: ChainLevels(n, op.params.v0, op.params.w0) for n in lengths}
+    solved = dict(zip(lengths, chain_levels(lengths, op.params.v0, op.params.w0)))
     starts = np.concatenate([[0], np.cumsum(cells)])
     s_all = np.concatenate([np.tile(solved[n].sigma, np.count_nonzero(cells == n)) for n in lengths])
     order = np.argsort(-s_all, kind="stable")  # descending, ties in chain order
@@ -208,19 +208,18 @@ def _chain_eigensystem(op: FiniteOperator):
     evals = np.concatenate([-s, s[::-1]])  # ascending, exactly negation-closed
 
     def states(levels):
-        # psi_a, psi_b of the given levels as the columns of two P x k blocks,
-        # each the transposed view of a row-major k x P block
+        # psi_a, psi_b of the given levels as the columns of two row-major P x k blocks
         levels = np.asarray(levels)
         positive = levels >= p
         pos = order[np.where(positive, 2 * p - 1 - levels, levels)]
         owner = np.searchsorted(starts, pos, side="right") - 1
         column = pos - starts[owner]
-        rows = np.zeros((2, levels.size, p))
+        blocks = np.zeros((2, p, levels.size))
         for n, chain in solved.items():
             picked = np.flatnonzero(cells[owner] == n)
             cell = owner[picked, None] + m * np.arange(n)
-            rows[:, picked[:, None], cell] = chain.vectors(column[picked], positive[picked])
-        return rows[0].T, rows[1].T
+            blocks[:, cell, picked[:, None]] = chain.vectors(column[picked], positive[picked])
+        return blocks[0], blocks[1]
 
     return evals, states
 

@@ -13,8 +13,12 @@ scales each |x| to a 17-digit integer in double-double arithmetic, lays
 out sign, digits, point and exponent by the %g rules, writes zeros as
 "0" or "-0", and hands the values it cannot round with certainty
 (nonzero |x| outside [1e-250, 1e250), possible decimal ties) to
-format_float. The kernel module and its tables load with the first
-table written.
+format_float. A level table, whose first column is exactly 0, 1, ...,
+n - 1 (checked bit for bit, in O(n)), takes _csv's index route instead:
+integer digits for the index, and each run of bit-equal values formatted
+once, so a box of 2P levels pays for its distinct levels, not for 2P
+fields. The kernel module and its tables load with the first table
+written.
 """
 
 from __future__ import annotations
@@ -74,9 +78,15 @@ def emit_csv(table: Table, stream: IO[str]) -> None:
         return
     from . import _csv  # deferred to the first table: its import builds the tables
 
+    # a level table (first column 0, 1, ..., n - 1, no -0.0) is written from its distinct values;
+    # any other first entry rules it out without a pass over the column
+    indexed = nrows > 0 and rows[0, 0] == 0.0 and np.array_equal(
+        rows[:, 0].view(np.int64), np.arange(nrows, dtype=float).view(np.int64))
     step = max(1, _CSV_CHUNK_VALUES // ncols)
     for start in range(0, nrows, step):
-        stream.write(_csv.rows_text(rows[start : start + step]).decode("ascii"))
+        chunk = rows[start : start + step]
+        text = _csv.indexed_rows_text(chunk, start) if indexed else _csv.rows_text(chunk)
+        stream.write(text.decode("ascii"))
 
 
 def _json_scalar(value: Any) -> str:

@@ -294,3 +294,40 @@ def test_coupling_ratio_beyond_float64():
     wide = FiniteParams(v0=1e-300, w0=1e300, a=1.0, L=20.0, dx=0.1)
     with pytest.raises(NumericalError, match=r"ln\|w0/v0\|\*L/a = 27631 is too large"):
         build_zero_mode(wide, "A", EdgeLabels(1, 0))
+
+
+def _edge_argv(a, L, dx):
+    return ["edge", "--v0", "0.5", "--w0", "1", "--a", repr(a), "--L", repr(L), "--dx", repr(dx),
+            "--n-a", "1", "--n-b", "1"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_edge_at_hop_lengths_near_the_float64_maximum(capsys):
+    # 2nL and n pi L overflowed before the division by a (a traceback, exit
+    # 1), then so did 2 pi n x; the box of 16 hops answers as its a = 1 twin
+    # does, and labels that do not fit the box are refused by name
+    assert cli.main(_edge_argv(1e307, 1.6e308, 1e306)) == 0
+    huge = json.loads(capsys.readouterr().err.splitlines()[0])["result"]
+    assert cli.main(_edge_argv(1.0, 16.0, 0.1)) == 0
+    unit = json.loads(capsys.readouterr().err.splitlines()[0])["result"]
+    assert huge["fitted_slope_a"] == pytest.approx(-np.log(2.0) / 1e307, rel=1e-12)
+    assert huge["residual"] == pytest.approx(unit["residual"], rel=1e-12)
+    params = FiniteParams(v0=0.5, w0=1.0, a=1e307, L=1.6e308, dx=1e306)
+    assert phase_label(3, 1, params) == pytest.approx(1.5 * np.pi + 3 * np.pi * 16, rel=1e-15)
+    assert cli.main(_edge_argv(1e308, 1.6e308, 1e307)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "2nL/a = 3.1999999999999997 is not an integer" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_subnormal_hop_length_refused_by_name(capsys):
+    # ln|w0/v0|/a is inf at a = 1e-310: the refusal blamed the mode's growth
+    # ln|w0/v0|*L/a = 13.86 with exit 3; pi/a leaves float64 below ~1.75e-308
+    assert cli.main(_edge_argv(1e-310, 2e-309, 1e-311)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the decay rate ln|w0/v0|/a at --a = 1e-310 leaves the float64 range\n"
+    with pytest.raises(ValidationError, match=r"the phase rate pi/a at --a = 1.7e-308 leaves"):
+        zero_mode_exponents(FiniteParams(v0=0.5, w0=1.0, a=1.7e-308, L=3.4e-307, dx=1.7e-309))
+    opposite = FiniteParams(v0=0.5, w0=-1.0, a=1.7e-308, L=3.4e-307, dx=1.7e-309)
+    assert zero_mode_exponents(opposite)[0].imag == 0.0  # no phase rate to overflow

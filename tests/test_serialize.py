@@ -1,10 +1,12 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nonlocal_ssh import _csv
 from nonlocal_ssh.errors import NumericalError, ValidationError
 from nonlocal_ssh.serialize import (
     _CSV_CHUNK_VALUES,
@@ -128,6 +130,75 @@ def test_emit_csv_matches_per_value_reference_property(table):
     buf = io.StringIO()
     emit_csv(table, buf)
     assert buf.getvalue() == _reference_csv(table)
+
+
+def _level_pool(rng, k):
+    # k values of each kind the index route must format: any magnitude,
+    # signed zeros, subnormals, magnitudes outside [1e-250, 1e250) and exact
+    # ties between two 17-digit decimals, each with either sign
+    signs = rng.choice([-1.0, 1.0], k)
+    return np.concatenate([
+        rng.normal(size=k) * 10.0 ** rng.integers(-320, 306, k),
+        signs * 0.0,
+        signs * rng.integers(1, 2**20, k) * 5e-324,
+        signs * 10.0 ** rng.uniform(250, 308, k),
+        signs * 10.0 ** rng.uniform(-323, -250, k),
+        signs * (rng.integers(10**15, 2**51, k) + rng.choice([0.25, 0.75], k)),
+    ])
+
+
+@st.composite
+def _level_tables(draw):
+    # a first column 0, 1, ..., n - 1 (or start, start + 1, ...), 1-3 value
+    # columns of runs of random lengths, one of them without runs; n across
+    # 9 -> 10 digits and the chunk boundary, start across 9999 -> 10000 (a
+    # second word of digits) and 99999 -> 100000
+    values = draw(st.integers(1, 3))
+    chunk = _chunk_rows(values + 1)
+    nrows = draw(st.one_of(st.integers(1, 40), st.sampled_from([chunk - 1, chunk, chunk + 1,
+                                                                 2 * chunk + 3])))
+    start = draw(st.sampled_from([0, 0, 0, 9_995, 99_990, 99_999, 100_000 - nrows]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = _level_pool(rng, 64)
+    columns = [np.arange(start, start + nrows, dtype=float)]
+    free = draw(st.integers(0, values - 1))
+    for c in range(values):
+        if c == free:
+            col = rng.choice(pool, nrows)
+            same = np.flatnonzero(col[1:].view(np.int64) == col[:-1].view(np.int64)) + 1
+            col[same] = rng.normal(size=same.size) * 1e-300  # no two neighbours alike
+        else:
+            runs = rng.choice(pool, nrows + 2)
+            runs[:2] = [0.0, -0.0]  # adjacent zeros of either sign stay apart
+            col = np.repeat(runs, rng.geometric(draw(st.sampled_from([0.05, 0.3, 1.0])), nrows + 2))
+            col = col[:nrows]
+        columns.append(col)
+    rows = np.column_stack(columns)
+    if start == 0 and draw(st.booleans()):
+        # one entry off 0, 1, ..., n - 1: the kernel's table
+        j = draw(st.integers(0, nrows - 1))
+        rows[j, 0] = draw(st.sampled_from([-0.0 if j == 0 else j - 1.0, j + 0.5, j + 1.0]))
+    return start, Table(columns=["index"] + [f"c{c}" for c in range(values)], rows=rows)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_level_tables())
+def test_index_route_matches_per_value_reference_property(case):
+    # level tables are written from their distinct values; a table whose
+    # first column is not exactly 0, 1, ..., n - 1 takes the kernel; the
+    # bytes are format_float's either way
+    start, table = case
+    indexed = np.array_equal(table.rows[:, 0], np.arange(start, start + len(table.rows)))
+    indexed &= not np.signbit(table.rows[0, 0])
+    want = _reference_csv(table)
+    if start:
+        assert _csv.indexed_rows_text(table.rows, start).decode() == want.partition("\n")[2]
+        return
+    buf = io.StringIO()
+    with mock.patch.object(_csv, "indexed_rows_text", wraps=_csv.indexed_rows_text) as route:
+        emit_csv(table, buf)
+    assert buf.getvalue() == want
+    assert route.called == indexed
 
 
 def test_emit_csv_every_power_of_ten_and_neighbours():
