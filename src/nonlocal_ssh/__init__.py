@@ -33,11 +33,8 @@ from .finite import (
     FiniteOperator,
     SpectrumResult,
     build_finite,
-    chain_decomposition,
     compare_ssh,
-    decoupled_spectrum,
     spectrum,
-    ssh_spectrum,
 )
 from .model import BulkParams, FiniteParams, Grid, SpinorGrid, make_grid
 
@@ -62,17 +59,14 @@ __all__ = [
     "berry_integral",
     "build_finite",
     "build_zero_mode",
-    "chain_decomposition",
     "comparison_table",
     "compare_ssh",
-    "decoupled_spectrum",
     "energy_bands",
     "localization_fit",
     "make_grid",
     "operator_residual",
     "phase_phi",
     "spectrum",
-    "ssh_spectrum",
     "zak_analytic",
     "zak_wilson",
     "zero_mode_exponents",

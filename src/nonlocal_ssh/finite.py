@@ -16,8 +16,8 @@ The eigensolver uses that decomposition: each distinct cell count is
 solved once, in O(n), from its chain's quantization condition, and the
 levels are tiled by multiplicity, which gives the spectrum as exact +-sigma
 pairs (chiral symmetry built in). States are built only for the levels
-that are read. Dense per-chain diagonalization (decoupled_spectrum) is the
-oracle.
+that are read. compare_ssh takes the single P-cell chain's levels from
+LAPACK's SVD of its dense block.
 
 C itself is kept as its two diagonals (HopBlock) and applied with numpy
 slices.
@@ -169,7 +169,7 @@ def _chain_block(n_cells: int, v: float, w: float) -> np.ndarray:
     """C restricted to one residue class: v on the diagonal, w below it.
 
     Dense n x n, so it refuses above DENSE_MAX_ELEMENTS before allocating.
-    Only compare_ssh's single P-cell chain uses it.
+    compare_ssh's single P-cell chain and decoupled_spectrum's classes use it.
     """
     if n_cells**2 > DENSE_MAX_ELEMENTS:
         raise ValidationError(
@@ -308,65 +308,16 @@ def zero_mode_count(eigenvalues: np.ndarray, tol_abs: float) -> int:
     return int(np.sum(np.abs(np.asarray(eigenvalues)) < check_zero_window(tol_abs)))
 
 
-@dataclass(frozen=True)
-class SshChain:
-    """Open dimerized chain: n_cells cells, intra-cell v, inter-cell w.
-
-    offset records the grid residue class the chain came from (its first
-    cell sits at grid index offset).
-    """
-
-    n_cells: int
-    v: float
-    w: float
-    offset: int = 0
-
-
-def chain_decomposition(op: FiniteOperator) -> list[SshChain]:
-    """The m independent chains hiding in the box Hamiltonian.
-
-    Residue class r mod m collects grid indices r, r+m, ..., so it holds
-    ceil((P - r)/m) cells coupled v0 within a cell and w0 between
-    consecutive cells; classes never mix because every hop moves exactly m
-    grid points.
-    """
-    p = op.n_points
-    m = op.hop_steps
-    chains = []
-    for r in range(m):
-        n_cells = len(range(r, p, m))
-        if n_cells:
-            chains.append(SshChain(n_cells=n_cells, v=op.params.v0, w=op.params.w0, offset=r))
-    return chains
-
-
-def ssh_chain_matrix(chain: SshChain) -> np.ndarray:
-    """Dense 2n x 2n matrix in interleaved (A1, B1, A2, B2, ...) order."""
-    if chain.n_cells < 1:
-        raise ValidationError("chain must have at least one cell")
-    n = chain.n_cells
-    h = np.zeros((2 * n, 2 * n))
-    for j in range(n):
-        h[2 * j, 2 * j + 1] = chain.v
-        h[2 * j + 1, 2 * j] = chain.v
-    for j in range(n - 1):
-        h[2 * j + 1, 2 * j + 2] = chain.w
-        h[2 * j + 2, 2 * j + 1] = chain.w
-    return h
-
-
-def ssh_spectrum(chain: SshChain) -> np.ndarray:
-    """Eigenvalues of one open chain, ascending (dense symmetric solver)."""
-    return np.linalg.eigvalsh(ssh_chain_matrix(chain))
-
-
 def decoupled_spectrum(op: FiniteOperator) -> np.ndarray:
-    """Union of the chain spectra, sorted. Exact alternative route to spectrum().
+    """All 2P levels, sorted: +- the singular values of each residue class's chain block.
 
-    Every chain is diagonalized on its own as a dense symmetric matrix, so
-    this oracle shares no solver with the closed form of spectrum().
+    A route apart from spectrum(): LAPACK's SVD, one class at a time. Only
+    the benchmark's oracle check calls it; it leaves with ROADMAP item 1.
     """
-    return np.sort(np.concatenate([ssh_spectrum(c) for c in chain_decomposition(op)]))
+    p, m = op.n_points, op.hop_steps
+    s = [np.linalg.svd(_chain_block(len(range(r, p, m)), op.params.v0, op.params.w0),
+                       compute_uv=False) for r in range(m)]
+    return np.sort(np.concatenate([*s, *(-x for x in s)]))
 
 
 def kolmogorov_distance(sample_a: np.ndarray, sample_b: np.ndarray) -> float:

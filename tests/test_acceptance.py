@@ -7,7 +7,7 @@ pass/fail line per criterion. Each test also prints a [criterion N] line
 
 import numpy as np
 import pytest
-from box_reference import box_h, symmetry_defects
+from box_reference import box_h, chain_cells, reference_levels, symmetry_defects
 
 from nonlocal_ssh.approx import approx_bands, berry_integral
 from nonlocal_ssh.bulk import energy_bands, zak_wilson
@@ -17,20 +17,16 @@ from nonlocal_ssh.edge import (
     localization_fit,
     operator_residual,
 )
-from nonlocal_ssh.finite import (
-    SshChain,
-    build_finite,
-    chain_decomposition,
-    compare_ssh,
-    decoupled_spectrum,
-    spectrum,
-    ssh_chain_matrix,
-    ssh_spectrum,
-    zero_mode_count,
-)
+from nonlocal_ssh.finite import build_finite, compare_ssh, spectrum
 from nonlocal_ssh.model import BulkParams, FiniteParams
 
 BOX = FiniteParams(v0=0.5, w0=1.0, a=0.2, L=10.0, dx=0.01)  # dimension 2002
+
+
+def _chain_oracle(p):
+    # all 2P levels from the SVD of each chain block, built entry by entry
+    s = reference_levels(p.v0, p.w0, chain_cells(p))
+    return np.concatenate([-s[::-1], s])
 
 
 def _ok(n, msg):
@@ -97,15 +93,15 @@ def test_criterion_4_truncation_band_geometry():
 
 def test_criterion_5_box_spectrum_at_scale():
     """Box with v0 = 0.5, w0 = 1, a = 0.2, L = 10, dx = 0.01 (2002 levels):
-    (i) spectrum equals the 20-chain decoupling oracle within 1e-9 as a
+    (i) spectrum equals the SVD oracle of its 20 chains within 1e-9 as a
     multiset; (ii) 40 zero modes at |E| < 1e-8 |w0| while the 1001-cell
     single chain has exactly 2; (iii) Kolmogorov distance of the two
     spectral CDFs < 0.02."""
     op = build_finite(BOX)
     assert op.dimension == 2002
-    assert len(chain_decomposition(op)) == 20
+    assert op.hop_steps == 20
     ev = spectrum(op).eigenvalues
-    oracle = decoupled_spectrum(op)
+    oracle = _chain_oracle(BOX)
     mismatch = float(np.max(np.abs(np.sort(ev) - oracle)))
     assert mismatch < 1e-9
     cmp = compare_ssh(BOX)
@@ -151,8 +147,8 @@ def test_criterion_7_edge_modes():
 
 def test_criterion_8_small_instance_oracles():
     """Every instance of dimension <= 12: production solver agrees with
-    brute-force dense diagonalization within 1e-10 (boxes also against
-    the decoupling route)."""
+    brute-force dense diagonalization within 1e-10, and so does the SVD
+    of the box's chains."""
     boxes = [
         FiniteParams(v0=0.0, w0=1.0, a=0.1, L=0.2, dx=0.1),   # dim 6
         FiniteParams(v0=0.5, w0=1.0, a=0.2, L=0.5, dx=0.1),   # dim 12
@@ -163,10 +159,5 @@ def test_criterion_8_small_instance_oracles():
         assert op.dimension <= 12
         brute = np.linalg.eigvalsh(box_h(p))
         assert np.max(np.abs(spectrum(op).eigenvalues - brute)) < 1e-10
-        assert np.max(np.abs(decoupled_spectrum(op) - brute)) < 1e-10
-    chains = [SshChain(1, 0.5, 1.0), SshChain(2, 1.0, 1.0),
-              SshChain(3, 0.5, 1.0), SshChain(6, 2.0, -1.0)]
-    for c in chains:
-        brute = np.linalg.eigvalsh(ssh_chain_matrix(c))
-        assert np.max(np.abs(ssh_spectrum(c) - brute)) < 1e-10
-    _ok(8, "svd, decoupling, and brute-force routes agree within 1e-10")
+        assert np.max(np.abs(_chain_oracle(p) - brute)) < 1e-10
+    _ok(8, "closed-form, chain SVD and brute-force routes agree within 1e-10")

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import manifest
 import numpy as np
 import pytest
 
@@ -708,6 +709,11 @@ def _readme_cli_examples():
             if line.startswith("nonlocal-ssh "):
                 commands.append(shlex.split(line))
     return commands
+
+
+def test_byte_manifest_covers_readme_examples():
+    listed = {tuple(shlex.split(command)) for command in manifest.COMMANDS}
+    assert all(tuple(argv[1:]) in listed for argv in _readme_cli_examples())
 
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):

@@ -1,10 +1,16 @@
-import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from box_reference import box_h, reference_c, reference_h, symmetry_defects
+from box_reference import (
+    box_h,
+    chain_cells,
+    reference_c,
+    reference_h,
+    reference_levels,
+    symmetry_defects,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -14,18 +20,14 @@ from nonlocal_ssh.finite import (
     MAX_LEVELS,
     FiniteOperator,
     HopBlock,
-    SshChain,
     _chain_eigensystem,
     _sampled_residual,
     build_finite,
-    chain_decomposition,
     check_levels,
     compare_ssh,
     decoupled_spectrum,
     kolmogorov_distance,
     spectrum,
-    ssh_chain_matrix,
-    ssh_spectrum,
     zero_mode_count,
 )
 from nonlocal_ssh.model import FiniteParams, SpinorGrid, make_grid
@@ -49,27 +51,17 @@ def test_tiny_box_brute_force():
 
 
 def test_chain_closed_forms():
-    # single cell: a dimer
-    assert np.allclose(ssh_spectrum(SshChain(n_cells=1, v=0.5, w=1.0)), [-0.5, 0.5])
-    # two cells with v = w = 1: golden-ratio quadruplet
+    # P = 5, m = 3: a 1-cell chain, the dimer +-|v0|, and two 2-cell chains,
+    # whose singular values are (sqrt(w0^2 + 4 v0^2) +- |w0|)/2
+    ev = spectrum(build_finite(FiniteParams(v0=0.5, w0=1.0, a=0.3, L=0.4, dx=0.1))).eigenvalues
+    s = (np.sqrt(2.0) + np.array([1.0, 1.0, -1.0, -1.0])) / 2
+    want = np.sort(np.concatenate([[-0.5, 0.5], -s, s]))
+    assert np.allclose(ev, want, rtol=0.0, atol=1e-14)
+    # P = 4, m = 2: two 2-cell chains with v0 = w0 = 1, the golden-ratio quadruplet twice
+    ev = spectrum(build_finite(FiniteParams(v0=1.0, w0=1.0, a=0.2, L=0.3, dx=0.1))).eigenvalues
     g = (np.sqrt(5.0) + 1.0) / 2.0
-    want = np.sort([-g, -(g - 1.0), g - 1.0, g])
-    assert np.allclose(ssh_spectrum(SshChain(n_cells=2, v=1.0, w=1.0)), want, atol=1e-12)
-
-
-def test_chain_matrix_layout():
-    h = ssh_chain_matrix(SshChain(n_cells=2, v=0.5, w=2.0))
-    want = np.array(
-        [
-            [0.0, 0.5, 0.0, 0.0],
-            [0.5, 0.0, 2.0, 0.0],
-            [0.0, 2.0, 0.0, 0.5],
-            [0.0, 0.0, 0.5, 0.0],
-        ]
-    )
-    assert np.array_equal(h, want)
-    with pytest.raises(ValidationError):
-        ssh_chain_matrix(SshChain(n_cells=0, v=1.0, w=1.0))
+    want = np.sort(2 * [-g, -(g - 1.0), g - 1.0, g])
+    assert np.allclose(ev, want, rtol=0.0, atol=1e-14)
 
 
 def test_negation_closure_is_exact():
@@ -283,12 +275,13 @@ def test_dense_ceiling_admits_acceptance_box():
 
 
 def test_chain_decomposition_sizes():
+    # the acceptance box is 19 chains of 50 cells and one of 51: its positive
+    # levels are their SVD levels, tiled by multiplicity
     p = FiniteParams(v0=0.5, w0=1.0, a=0.2, L=10.0, dx=0.01)
-    chains = chain_decomposition(build_finite(p))
-    assert len(chains) == 20
-    sizes = sorted(c.n_cells for c in chains)
-    assert sizes == [50] * 19 + [51]
-    assert sorted(c.offset for c in chains) == list(range(20))
+    cells = chain_cells(p)
+    assert cells == [51] + [50] * 19
+    ev = spectrum(build_finite(p)).eigenvalues
+    assert np.max(np.abs(ev[p.n_points:] - reference_levels(p.v0, p.w0, cells))) < 1e-13
 
 
 def test_decoupling_oracle_small():
@@ -479,16 +472,6 @@ def test_batched_states_have_the_bits_of_single_ones():
             assert np.array_equal(psi_b[:, j], res.vectors[j].psi_b.real)
 
 
-def _dense_chain_levels(n_cells, v, w):
-    # singular values of the chain block, built entry by entry
-    block = np.zeros((n_cells, n_cells))
-    for i in range(n_cells):
-        block[i, i] = v
-        if i:
-            block[i, i - 1] = w
-    return np.linalg.svd(block, compute_uv=False)
-
-
 @st.composite
 def _chain_boxes(draw):
     # boxes of m chains with n and n - 1 cells (1-cell chains when p < 2m):
@@ -523,12 +506,7 @@ def test_chain_levels_match_svd_at_every_scale(params):
     # the float64 maximum is refused; the sampled pairs are eigenpairs of
     # the operator to 1e-12 (|v0| + |w0|) or 2^-1074 per entry
     op = build_finite(params)
-    e = math.frexp(max(abs(params.v0), abs(params.w0)))[1]
-    want = np.sort(np.concatenate([
-        _dense_chain_levels(c.n_cells, math.ldexp(params.v0, -e), math.ldexp(params.w0, -e))
-        for c in chain_decomposition(op)]))
-    with np.errstate(over="ignore"):
-        want = np.ldexp(want, e)
+    want = reference_levels(params.v0, params.w0, chain_cells(params))
     if not np.isfinite(want).all():
         with pytest.raises(NumericalError, match="exceed the float64 range"):
             spectrum(op)
@@ -555,7 +533,7 @@ def test_smallest_level_has_full_relative_accuracy(n, m, ratio, exponent, signs)
     w0 = signs[1] * 10.0**exponent
     v0 = signs[0] * ratio * abs(w0)
     params = FiniteParams(v0=v0, w0=w0, a=m * 0.1, L=(n * m - 1) * 0.1, dx=0.1)
-    assert max(c.n_cells for c in chain_decomposition(build_finite(params))) == n
+    assert max(chain_cells(params)) == n
     v, w = Fraction(abs(v0)), Fraction(abs(w0))
     want = float((w * w - v * v) / w * (v / w) ** n)
     assume(want >= 2.2250738585072014e-308)  # until it underflows
