@@ -21,6 +21,14 @@ Zeros are laid out as the digit 0, signed by their sign bit: "0", "-0".
 Fallback. format_float writes the values the kernel cannot round with
 certainty, spliced in place: nonzero |x| outside [1e-250, 1e250), and
 values whose scaled fraction lies within 2**-30 of 1/2 (possible ties).
+Byte 0 stays the sign slot, so it writes format_float(|x|) from byte 1.
+
+Shared and constant columns. In each chunk, a column whose magnitudes have
+the bits of an earlier formatted column's in every row (E_plus = -E_minus
+in the band tables) takes that column's fields with byte 0 set from its own
+sign bits; the sign slot makes this right for fallback fields too. Row 0
+rules out most pairs without a pass over a column. A column of one value,
+bit for bit, is formatted once and repeated.
 
 Index route. indexed_rows_text(rows, start) writes a block whose first
 column is start, start + 1, ... (a level table) from its distinct values.
@@ -107,11 +115,37 @@ def _scaled(a: np.ndarray, e10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rows_text(rows: np.ndarray) -> bytes:
-    """CSV lines of a 2-d block of finite floats, each field "%.17g" % x."""
-    text = _fields(rows.ravel())
-    seps = np.full(rows.shape[1], ord(","), np.uint8)
+    """CSV lines of a 2-d block of finite floats, each field "%.17g" % x.
+
+    A column whose magnitudes have the bits of an earlier formatted
+    column's in every row is not formatted: it takes that column's fields
+    with its own signs at byte 0. A column of one value (bit for bit) is
+    formatted once.
+    """
+    n, m = rows.shape
+    bits = rows.view(np.int64)
+    mags = bits & np.int64(2**63 - 1)
+    head = mags[0].tolist()  # columns that differ in row 0 are never compared
+    source = list(range(m))
+    for j in range(1, m):
+        source[j] = next((i for i in range(j) if source[i] == i and head[i] == head[j]
+                          and np.array_equal(mags[:, i], mags[:, j])), j)
+    const = [j for j in range(m) if source[j] == j and bits[-1, j] == bits[0, j]
+             and (bits[:, j] == bits[0, j]).all()]
+    if const or source != list(range(m)):
+        own = [j for j in range(m) if source[j] == j and j not in const]
+        shared = [j for j in range(m) if source[j] != j]
+        fields = _fields(np.concatenate([rows[:, own].ravel(), rows[0, const]]))
+        text = np.empty((n, m, 48), np.uint8)
+        text[:, own] = fields[: n * len(own)].reshape(n, len(own), 48)
+        text[:, const] = fields[n * len(own) :]
+        text[:, shared] = text[:, [source[j] for j in shared]]
+        text[:, shared, 0] = np.signbit(rows[:, shared]) * np.uint8(ord("-"))
+    else:
+        text = _fields(rows.ravel()).reshape(n, m, 48)
+    seps = np.full(m, ord(","), np.uint8)
     seps[-1] = ord("\n")
-    text.reshape(rows.shape + (48,))[:, :, 47] = seps
+    text[:, :, 47] = seps
     return text.tobytes().translate(None, b"\0")
 
 
@@ -121,7 +155,8 @@ def _fields(x: np.ndarray) -> np.ndarray:
     Each value gets six uint64 words, 48 bytes: the sign at byte 0, the
     "0.000" prefix at 1-5, the 17 digits at 6, 8, ..., 38, each followed by
     a gap byte that holds the point or NUL, and the exponent at 40-44;
-    byte 47 is left NUL for a separator.
+    byte 47 is left NUL for a separator. A fallback value's text follows
+    its sign from byte 1.
     """
     n = x.size
     a = np.abs(x)
@@ -168,8 +203,8 @@ def _fields(x: np.ndarray) -> np.ndarray:
 
     slow = np.flatnonzero(~fast)
     if slow.size:
-        strings = [format_float(v) for v in x[slow].tolist()]
-        text[slow, :47] = np.array(strings, dtype="S47").view(np.uint8).reshape(-1, 47)
+        strings = [format_float(v) for v in np.abs(x[slow]).tolist()]  # after the sign slot
+        text[slow, 1:47] = np.array(strings, dtype="S46").view(np.uint8).reshape(-1, 46)
     return text
 
 

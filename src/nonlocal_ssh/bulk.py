@@ -12,8 +12,10 @@ phi(k) = arg h(k) alone:
 
 phi winds by -2*pi per Brillouin zone when |w| > |v| and does not wind when
 |w| < |v|; the Zak phase is correspondingly pi or 0 (mod 2*pi). The Wilson
-loop below computes it from a gauge-invariant product of neighbor overlaps,
-so any per-k phase choice cancels.
+loop below computes it from the gauge-invariant product of neighbor
+overlaps <u_j|u_{j+1}> = cos((phi_{j+1} - phi_j)/2), which are real and the
+same for both bands (J. Zak, Phys. Rev. Lett. 62, 2747 (1989)), so the
+product is real and the phase exactly 0 or pi.
 """
 
 from __future__ import annotations
@@ -106,6 +108,12 @@ def energy_bands(params: BulkParams, k):
     return BandPoint(k=k, e_minus=-e, e_plus=e)
 
 
+def _snapped(w: float, ak: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """y = Im h(k) with the values under sin(ak)'s rounding noise set to +0 (see phase_phi)."""
+    noise = 16.0 * EPS * abs(w) * np.maximum(1.0, np.abs(ak))
+    return np.where(np.abs(y) <= noise, 0.0, y)
+
+
 def phase_phi(params: BulkParams, k):
     """Phase phi(k) = arg(v + w e^{-iak}) in (-pi, pi].
 
@@ -125,9 +133,7 @@ def phase_phi(params: BulkParams, k):
     v, w, a = scaled.v, scaled.w, scaled.a
     ak = a * k
     x = v + w * np.cos(ak)
-    y = -w * np.sin(ak)
-    noise = 16.0 * EPS * abs(w) * np.maximum(1.0, np.abs(ak))
-    y = np.where(np.abs(y) <= noise, 0.0, y)
+    y = _snapped(w, ak, -w * np.sin(ak))
     if np.any(np.hypot(x, y) < GAP_ABS_TOL):
         raise NumericalError(
             f"|v + w e^{{-iak}}| < 1e-12 * {s!r} at v = {params.v!r}, w = {params.w!r}: "
@@ -152,13 +158,15 @@ def zak_analytic(params: BulkParams) -> ZakResult:
     return ZakResult(value=float(value), classification=cls, k_points=0)
 
 
-def _overlap_product(states: np.ndarray, prod: complex) -> complex:
-    """prod times the overlaps <u_j|u_{j+1}> along (n + 1, 2) C-ordered states.
+def _overlap_product(steps: np.ndarray, prod: float) -> float:
+    """prod times the overlaps cos(d/2) of the phase steps d along a loop.
 
+    For u(+-) = (exp(i*phi/2), +-exp(-i*phi/2)) / sqrt(2) the overlap of
+    neighbors, <u_j|u_{j+1}>, is cos((phi_{j+1} - phi_j)/2) for both bands.
     The overlaps are multiplied in order onto prod, so a loop cut into
     pieces gives the bits of one product over the whole loop.
     """
-    overlaps = np.sum(np.conj(states[:-1]) * states[1:], axis=1)
+    overlaps = np.cos(0.5 * steps)
     if np.any(np.abs(overlaps) < 1e-12):
         raise NumericalError("vanishing overlap between neighboring states")
     return np.multiply.reduce(overlaps, initial=prod)
@@ -168,7 +176,7 @@ def zak_wilson(params: BulkParams, band: str = "plus", nk: int = 2048) -> ZakRes
     """Zak phase from a Wilson loop over one Brillouin zone.
 
     Uses nk uniformly spaced momenta on [-pi/a, pi/a) (endpoint excluded;
-    the loop closes by reusing the first state). Refuses with NumericalError if
+    the loop closes on the first phase). Refuses with NumericalError if
     the sampled gap dips below 1e-8 * max(|v|, |w|). The couplings are
     scaled by _scaled first, as in phase_phi.
 
@@ -182,13 +190,13 @@ def zak_wilson(params: BulkParams, band: str = "plus", nk: int = 2048) -> ZakRes
     as it is and keeps the momenta finite at any a.
 
     The zone is swept in chunks of _K_CHUNK momenta, so memory does not
-    grow with nk; only the first and last states and the running product
+    grow with nk; only the first and last phases and the running product
     pass from one chunk to the next. An overlap vanishes only between the
     two samples nearest the closest approach to h = 0, so a gap closure
     there is found in the same chunk or an earlier one, before the overlap:
     the refusal is the one a single pass over the whole zone gives.
     """
-    s = band_sign(band)
+    band_sign(band)  # refuses an unknown band; both bands have the same overlaps
     if nk < WILSON_MIN_POINTS:
         raise ValidationError(f"nk must be >= {WILSON_MIN_POINTS}, got {nk}")
     scaled = _unit_hop(_scaled(params)[1])
@@ -201,27 +209,19 @@ def zak_wilson(params: BulkParams, band: str = "plus", nk: int = 2048) -> ZakRes
             "use an even or a larger nk"
         )
     gap_tol = WILSON_GAP_RTOL * max(abs(v), abs(w))
-    prod = 1.0 + 0.0j
+    prod = 1.0
     for start in range(0, nk, _K_CHUNK):
         k = -np.pi / a + (2.0 * np.pi / a) * np.arange(start, min(start + _K_CHUNK, nk)) / nk
-        if np.abs(v + w * np.exp(-1j * a * k)).min() < gap_tol:
+        ak = a * k
+        x, y = v + w * np.cos(ak), -w * np.sin(ak)
+        if np.hypot(x, y).min() < gap_tol:
             raise NumericalError("band gap closes (to sampling accuracy) inside the zone")
-        # max(|v|, |w|) is in [1, 2), so |h| >= 1e-8 here, and phase_phi's snap
-        # moves y by at most 16 eps * 2 * pi ~ 2.2e-14: its 1e-12 gap test passes
-        phi = phase_phi(scaled, k)
-        # row 0 holds the previous chunk's last state
-        states = np.empty((k.size + 1, 2), dtype=complex)
-        states[1:, 0] = np.exp(0.5j * phi)
-        states[1:, 1] = s * np.exp(-0.5j * phi)
-        states[1:] /= np.sqrt(2.0)
-        if start:
-            states[0] = last
-        else:
-            states = states[1:]
-            first = states[0].copy()
-        prod = _overlap_product(states, prod)
-        last = states[-1].copy()
-    prod = _overlap_product(np.stack([last, first]), prod)  # the wrap
+        phi = np.arctan2(_snapped(w, ak, y), x)  # phase_phi's bits
+        if not start:
+            first = last = phi[0]  # a zero step: an overlap of exactly 1
+        prod = _overlap_product(np.diff(phi, prepend=last), prod)
+        last = phi[-1]
+    prod = _overlap_product(np.array([first - last]), prod)  # the wrap
     gamma = wrap_angle(-np.angle(prod))
     dist_topo = abs(wrap_angle(gamma - np.pi))
     dist_triv = abs(wrap_angle(gamma))

@@ -13,7 +13,9 @@ scales each |x| to a 17-digit integer in double-double arithmetic, lays
 out sign, digits, point and exponent by the %g rules, writes zeros as
 "0" or "-0", and hands the values it cannot round with certainty
 (nonzero |x| outside [1e-250, 1e250), possible decimal ties) to
-format_float. A level table, whose first column is exactly 0, 1, ...,
+format_float. Within a chunk, a column that is a +-copy of an earlier one
+(bit for bit in magnitude) reuses its text with its own signs, and a
+constant column is formatted once. A level table, whose first column is exactly 0, 1, ...,
 n - 1 (checked bit for bit, in O(n)), takes _csv's index route instead:
 integer digits for the index, and each run of bit-equal values formatted
 once, so a box of 2P levels pays for its distinct levels, not for 2P

@@ -3,19 +3,25 @@
 Both sweeps run over their k grid in chunks of a fixed size so that memory
 does not grow with nk. The references below are one-pass versions, which
 hold every array at full length; the chunked results must equal them bit
-for bit, refusals included. The Berry winding also has a second reference,
+for bit, refusals included. The Zak loop, which multiplies real overlaps,
+also has the earlier loop over complex states as a reference: the same
+gamma text, classification and refusals. The Berry winding also has a second reference,
 the earlier np.unwrap formula, which it must match to rounding.
 """
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonlocal_ssh import approx, bulk
 from nonlocal_ssh.errors import NumericalError, ValidationError
 from nonlocal_ssh.model import BulkParams, _require_finite, band_sign, wrap_angle
+from nonlocal_ssh.serialize import format_float
 
 CHUNK = bulk._K_CHUNK
 SIGNS = list(itertools.product([1.0, -1.0], repeat=2))
@@ -44,6 +50,54 @@ def _zak_reference(params, band, nk):
     states[:, 1] = s * np.exp(-0.5j * phi)
     states /= np.sqrt(2.0)
     gamma = _wilson_loop_phase_reference(states)
+    dist_topo = abs(wrap_angle(gamma - np.pi))
+    dist_triv = abs(wrap_angle(gamma))
+    cls = "topological" if dist_topo < dist_triv else "trivial"
+    return bulk.ZakResult(value=gamma, classification=cls, k_points=nk)
+
+
+def _complex_overlap_product(states, prod):
+    overlaps = np.sum(np.conj(states[:-1]) * states[1:], axis=1)
+    if np.any(np.abs(overlaps) < 1e-12):
+        raise NumericalError("vanishing overlap between neighboring states")
+    return np.multiply.reduce(overlaps, initial=prod)
+
+
+def _zak_complex_states(params, band, nk):
+    """The Wilson loop over complex states u(+-), chunk by chunk, with zak_wilson's
+    scaling and refusals: the loop zak_wilson ran before it took real overlaps."""
+    s = band_sign(band)
+    if nk < bulk.WILSON_MIN_POINTS:
+        raise ValidationError(f"nk must be >= {bulk.WILSON_MIN_POINTS}, got {nk}")
+    scaled = bulk._unit_hop(bulk._scaled(params)[1])
+    v, w, a = scaled.v, scaled.w, scaled.a
+    h0, x_near = v + w, v + w * math.cos(math.pi / nk)
+    if nk % 2 and v * w < 0.0 and (h0 == 0.0 or x_near * h0 < 0.0):
+        raise ValidationError(
+            f"nk = {nk} cannot resolve the phase at v = {params.v!r}, w = {params.w!r}: "
+            "it turns by pi or more between the two samples around k = 0; "
+            "use an even or a larger nk"
+        )
+    gap_tol = bulk.WILSON_GAP_RTOL * max(abs(v), abs(w))
+    prod = 1.0 + 0.0j
+    for start in range(0, nk, CHUNK):
+        k = -np.pi / a + (2.0 * np.pi / a) * np.arange(start, min(start + CHUNK, nk)) / nk
+        if np.abs(v + w * np.exp(-1j * a * k)).min() < gap_tol:
+            raise NumericalError("band gap closes (to sampling accuracy) inside the zone")
+        phi = bulk.phase_phi(scaled, k)
+        states = np.empty((k.size + 1, 2), dtype=complex)  # row 0: the previous chunk's last
+        states[1:, 0] = np.exp(0.5j * phi)
+        states[1:, 1] = s * np.exp(-0.5j * phi)
+        states[1:] /= np.sqrt(2.0)
+        if start:
+            states[0] = last
+        else:
+            states = states[1:]
+            first = states[0].copy()
+        prod = _complex_overlap_product(states, prod)
+        last = states[-1].copy()
+    prod = _complex_overlap_product(np.stack([last, first]), prod)  # the wrap
+    gamma = wrap_angle(-np.angle(prod))
     dist_topo = abs(wrap_angle(gamma - np.pi))
     dist_triv = abs(wrap_angle(gamma))
     cls = "topological" if dist_topo < dist_triv else "trivial"
@@ -161,6 +215,39 @@ def test_zak_chunks_match_one_pass(nk):
         _same(_outcome(bulk.zak_wilson, p, band=band, nk=nk), _outcome(_zak_reference, p, band, nk))
 
 
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _wilson_runs(draw):
+    sign = st.sampled_from([1.0, -1.0])
+    v = draw(_log_uniform(1e-320, 1e308)) * draw(sign)
+    if draw(st.booleans()):
+        w = draw(_log_uniform(1e-320, 1e308)) * draw(sign)
+    else:  # v = -w closes the gap at k = 0; next to it the gap is tiny there
+        w = -v * (1.0 + draw(st.one_of(st.sampled_from([0.0, 1e-15, 1e-9, 1e-4]),
+                                       st.floats(-1e-3, 1e-3))))
+    a = draw(_log_uniform(1e-300, 1e300))
+    nk = draw(st.one_of(st.integers(1, 64), st.integers(16, 4100)))
+    return BulkParams(v=v, w=w, a=a), draw(st.sampled_from(["plus", "minus"])), nk
+
+
+def _zak_text(outcome):
+    # the refusal itself, or the answer as the CLI writes it
+    if isinstance(outcome[0], str):
+        return outcome
+    return format_float(outcome[0]), *outcome[1:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_wilson_runs())
+def test_zak_real_overlaps_match_complex_states(run):
+    p, band, nk = run
+    assert _zak_text(_outcome(bulk.zak_wilson, p, band=band, nk=nk)) == \
+        _zak_text(_outcome(_zak_complex_states, p, band, nk))
+
+
 @pytest.mark.parametrize("nk", [1001, 1002, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 2 * CHUNK + 2])
 def test_berry_chunks_match_one_pass(nk):
     for (sv, sw), order, band in itertools.product(SIGNS, (1, 2), ("plus", "minus")):
@@ -248,13 +335,12 @@ def test_berry_chunks_sample_np_linspace(monkeypatch, cutoff_k, nk):
 
 
 def test_overlap_product_chains_bit_for_bit():
-    states = RNG.normal(size=(5001, 2)) + 1j * RNG.normal(size=(5001, 2))
-    states /= np.linalg.norm(states, axis=1)[:, None]
-    whole = np.prod(np.sum(np.conj(states[:-1]) * states[1:], axis=1))
+    phi = RNG.uniform(-np.pi, np.pi, 5001)
+    whole = np.prod(np.cos(0.5 * np.diff(phi)))
     for cuts in ([1], [2500], sorted(RNG.choice(np.arange(1, 5000), 30, replace=False))):
-        prod, lo = 1.0 + 0.0j, 0
+        prod, lo = 1.0, 0
         for hi in [*cuts, 5000]:
-            prod = bulk._overlap_product(states[lo:hi + 1], prod)  # neighbors share a state
+            prod = bulk._overlap_product(np.diff(phi[lo:hi + 1]), prod)  # neighbors share a phase
             lo = hi
         assert repr(prod) == repr(whole)
 

@@ -124,12 +124,51 @@ def _csv_tables(draw):
     return Table(columns=[f"c{j}" for j in range(ncols)], rows=np.reshape(values, (nrows, ncols)))
 
 
+@st.composite
+def _shared_tables(draw):
+    # columns that are +-copies (whole-column or per-row signs) or constants
+    # of others, copies of copies and of constants included, over values of
+    # every kind (_level_pool); in a table of two or more chunks, one value
+    # off in a later chunk leaves its column shared (or constant) in the
+    # earlier chunks only
+    ncols = draw(st.integers(1, 9))
+    chunk = _chunk_rows(ncols)
+    nrows = draw(st.one_of(st.integers(1, 30), st.sampled_from([chunk, chunk + 1, 2 * chunk + 3])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = _level_pool(rng, 16)
+    rows = rng.choice(pool, (nrows, ncols))
+    for j in range(ncols):
+        kind = draw(st.sampled_from(["own", "copy", "copy", "const"] if j else ["own", "const"]))
+        if kind == "copy":
+            signs = draw(st.sampled_from([[1.0], [-1.0], [1.0, -1.0]]))
+            rows[:, j] = rng.choice(signs, nrows) * rows[:, draw(st.integers(0, j - 1))]
+        elif kind == "const":
+            rows[:, j] = rng.choice(pool)
+    if nrows > chunk and draw(st.booleans()):
+        rows[draw(st.integers(chunk, nrows - 1)), draw(st.integers(0, ncols - 1))] = rng.normal()
+    return Table(columns=[f"c{j}" for j in range(ncols)], rows=rows)
+
+
 @settings(max_examples=200, deadline=None)
-@given(_csv_tables())
+@given(st.one_of(_csv_tables(), _shared_tables()))
 def test_emit_csv_matches_per_value_reference_property(table):
     buf = io.StringIO()
     emit_csv(table, buf)
     assert buf.getvalue() == _reference_csv(table)
+
+
+def test_shared_and_constant_columns_are_formatted_once():
+    # [x, -x, c, x with mixed signs]: the kernel sees x and c once each, and
+    # the copies of a fallback field (|x| >= 1e250) keep their own signs
+    x = np.concatenate([RNG.normal(size=50), [0.0, -0.0, 1e300, -3e-300]])
+    signs = RNG.choice([-1.0, 1.0], x.size)
+    table = Table(columns=["x", "minus_x", "c", "signed_x"],
+                  rows=np.column_stack([x, -x, np.full(x.size, -1e-260), signs * x]))
+    buf = io.StringIO()
+    with mock.patch.object(_csv, "_fields", wraps=_csv._fields) as kernel:
+        emit_csv(table, buf)
+    assert buf.getvalue() == _reference_csv(table)
+    assert [call.args[0].size for call in kernel.call_args_list] == [x.size + 1]
 
 
 def _level_pool(rng, k):
