@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .model import EPS
+from .model import EPS, power_of_two, scale_back
 
 # safeguarded Newton steps per root; bisection alone needs about 60
 _ROOT_STEPS = 100
@@ -21,8 +21,9 @@ class ChainLevels:
     """Levels, and states on demand, of one open chain: the block B = v0*I + w0*S.
 
     B is n x n lower bidiagonal. Its magnitudes v = |v0| and w = |w0| are
-    divided by 2**exponent, which puts the larger in [1, 2); sigma is in
-    the original units. With theta = pi - t, B has the singular value
+    divided by their power_of_two, scale; sigma is in the original units,
+    and levels beyond the float64 range are a NumericalError. With
+    theta = pi - t, B has the singular value
     sigma = |v + w e^{i theta}| = hypot(w - v, 2 sqrt(v w) sin(t/2)) at each
     root of v sin((n+1) theta) + w sin(n theta) = 0, and bracket j holds one
     root t = j*h + eps with 0 < eps <= h = pi/(n+1), solving
@@ -45,9 +46,9 @@ class ChainLevels:
     """
 
     def __init__(self, n: int, v0: float, w0: float):
-        self.exponent = math.frexp(max(abs(v0), abs(w0)))[1] - 1
-        v, w = math.ldexp(abs(v0), -self.exponent), math.ldexp(abs(w0), -self.exponent)
-        self.n, self.v, self.w = n, v, w
+        self.scale = power_of_two(v0, w0)
+        v, w = abs(v0) / self.scale, abs(w0) / self.scale
+        self.n, self.v, self.w, self.v0, self.w0 = n, v, w, v0, w0
         self.s_v = math.copysign(1.0, v0 if v0 != 0.0 else w0)
         self.same_sign = not (v0 < 0.0 < w0 or w0 < 0.0 < v0)
         self.h = math.pi / (n + 1)
@@ -62,12 +63,12 @@ class ChainLevels:
         self.eps = eps
         v, w = self.v, self.w
         t = self.j * self.h + eps
-        with np.errstate(over="ignore"):  # spectrum() refuses levels beyond float64
-            sigma = np.ldexp(np.hypot(w - v, 2.0 * math.sqrt(v) * math.sqrt(w) * np.sin(0.5 * t)),
-                             self.exponent)
+        sigma = scale_back(self.scale,
+                           np.hypot(w - v, 2.0 * math.sqrt(v) * math.sqrt(w) * np.sin(0.5 * t)),
+                           f"the levels of the box at v0 = {self.v0!r}, w0 = {self.w0!r}")
         if self.edge:
             self.kappa = self._edge_root()
-            sigma = np.append(sigma, self._edge_level(self.exponent))
+            sigma = np.append(sigma, self._edge_level())
         self.sigma = sigma
 
     def _edge_root(self) -> float:
@@ -99,13 +100,15 @@ class ChainLevels:
             kappa = kappa - step if lo < kappa - step < hi else 0.5 * (lo + hi)
         return kappa
 
-    def _edge_level(self, exponent: int) -> float:
-        """2**exponent v sinh kappa / sinh(n kappa), without intermediate underflow.
+    def _edge_level(self) -> float:
+        """scale * v sinh kappa / sinh(n kappa), without intermediate underflow.
 
         That is v e^{-(n-1) kappa} expm1(-2 kappa)/expm1(-2 n kappa), whose
-        power 2**(-z), z = (n-1) kappa/ln 2, is applied as an exponent.
+        power 2**(-z), z = (n-1) kappa/ln 2, is applied as an exponent
+        together with scale's.
         """
         n, v, kappa = self.n, self.v, self.kappa
+        exponent = math.frexp(self.scale)[1] - 1
         if kappa == math.inf:
             return 0.0
         if kappa == 0.0:

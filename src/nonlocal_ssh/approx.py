@@ -27,14 +27,15 @@ the origin, i.e. -pi*Theta(w(v+w)), which reduces to the familiar
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bulk import _K_CHUNK, BandPoint, GAP_ABS_TOL, _rescaled, _scaled, _unit_hop, energy_bands
+from .bulk import _K_CHUNK, BandPoint, GAP_ABS_TOL, energy_bands
 from .errors import NumericalError, ValidationError
-from .model import BulkParams, _require_finite, band_sign, wrap_angle
+from .model import BulkParams, _require_finite, band_sign, power_of_two, scale_back, wrap_angle
 
 ORDERS = (0, 1, 2)
 
@@ -75,17 +76,17 @@ def _b_numerator(params: BulkParams, order: int, k):
 def approx_bands(params: BulkParams, order: int, k) -> BandPoint:
     """Truncated band energies +-|z(k)| (scalar or array k).
 
-    |z| is taken on the couplings scaled by bulk._scaled and scaled back,
-    which is exact; bands beyond the float64 range are a NumericalError.
-    A term that overflows (order 2 squares ak) gives an inf or NaN that
-    _rescaled refuses, without a floating-point warning.
+    |z| is taken on the couplings divided by their power_of_two and scaled
+    back, which is exact; bands beyond the float64 range are a
+    NumericalError. A term that overflows (order 2 squares ak) gives an inf
+    or NaN that scale_back refuses, without a floating-point warning.
     """
     _check_order(order)
     k = np.asarray(k, dtype=float)
-    s, scaled = _scaled(params)
+    s = power_of_two(params.v, params.w)
     with np.errstate(over="ignore", invalid="ignore"):
-        z = _b_numerator(scaled, order, k)
-    e = _rescaled(s, np.abs(z), params, f"the order-{order} bands")
+        z = _b_numerator(dataclasses.replace(params, v=params.v / s, w=params.w / s), order, k)
+    e = scale_back(s, np.abs(z), f"the order-{order} bands at v = {params.v!r}, w = {params.w!r}")
     return BandPoint(k=k, e_minus=-e, e_plus=e)
 
 
@@ -141,13 +142,14 @@ def berry_integral(
     the sample nearest k = 0, and a step above pi/2 then starts or ends on
     that sample, so the gap closure is found first, as in one pass.
     quadrature_error is the rounding floor 4 max|theta| eps of the unwrapped
-    phase theta. z is sampled on the couplings scaled by bulk._scaled: that
-    leaves arg z as it is and cannot overflow.
+    phase theta. z is sampled on the couplings divided by their
+    power_of_two: that leaves arg z as it is and cannot overflow.
     """
     band_sign(band)
     if order not in (1, 2):
         raise ValidationError(f"Berry integral implemented for orders 1 and 2, got {order}")
-    params = _scaled(params)[1]
+    s = power_of_two(params.v, params.w)
+    params = dataclasses.replace(params, v=params.v / s, w=params.w / s)
     v, w, a = params.v, params.w, params.a
     if cutoff_k is None:
         cutoff_k = BERRY_DEFAULT_CUTOFF / a
@@ -216,12 +218,12 @@ def comparison_table(params: BulkParams, k_samples: int = 401):
 
     Returns (columns, rows): column names and an (k_samples, 9) array with
     ka in [-pi, pi] followed by the order-0/1/2 and exact band pairs. k is
-    sampled with a scaled by bulk._unit_hop, which leaves every a*k as it
-    is and keeps k finite at any a.
+    sampled with a divided by its power_of_two, which leaves every a*k as
+    it is and keeps k finite at any a.
     """
     if k_samples < 2:
         raise ValidationError(f"k_samples must be >= 2, got {k_samples}")
-    params = _unit_hop(params)
+    params = dataclasses.replace(params, a=params.a / power_of_two(params.a))
     ka = np.linspace(-np.pi, np.pi, k_samples)
     k = ka / params.a
     cols = ["ka"]

@@ -16,21 +16,23 @@ loop below computes it from the gauge-invariant product of neighbor
 overlaps <u_j|u_{j+1}> = cos((phi_{j+1} - phi_j)/2), which are real and the
 same for both bands (J. Zak, Phys. Rev. Lett. 62, 2747 (1989)), so the
 product is real and the phase exactly 0 or pi.
+
+Every function here works on v and w divided by their power_of_two (see
+model): phi is left as it is, and the bands go back through scale_back.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .model import EPS, BulkParams, band_sign, wrap_angle
+from .model import EPS, BulkParams, band_sign, power_of_two, scale_back, wrap_angle
 
-# |h(k)| below this, on couplings scaled by _scaled, is a closed gap (phases
-# undefined)
+# |h(k)| below this, on couplings divided by their power_of_two, is a closed
+# gap (phases undefined)
 GAP_ABS_TOL = 1e-12
 
 # Wilson loop refuses when the sampled gap dips under this times max(|v|,|w|)
@@ -61,50 +63,18 @@ class ZakResult:
     k_points: int
 
 
-def _scaled(params: BulkParams) -> tuple[float, BulkParams]:
-    """s = 2**(e-1) <= max(|v|, |w|) < 2**e and the record with v/s and w/s.
-
-    The division is exact and leaves the larger coupling in [1, 2), so
-    squares and sums of the scaled couplings cannot overflow; s itself is
-    finite up to the float64 maximum.
-    """
-    s = math.ldexp(1.0, math.frexp(max(abs(params.v), abs(params.w)))[1] - 1)
-    return s, dataclasses.replace(params, v=params.v / s, w=params.w / s)
-
-
-def _unit_hop(params: BulkParams) -> BulkParams:
-    """The record with a times the power of two that puts it in [1, 2).
-
-    The scaling is exact, so on a zone sampled as multiples of 1/a every
-    a*k keeps its bits, and the zone's bounds +-pi/a stay in the float64
-    range at any a.
-    """
-    return dataclasses.replace(params, a=math.ldexp(params.a, 1 - math.frexp(params.a)[1]))
-
-
-def _rescaled(s: float, e: np.ndarray, params: BulkParams, what: str) -> np.ndarray:
-    """s * e; refused with NumericalError where that leaves the float64 range."""
-    with np.errstate(over="ignore"):
-        e = s * e
-    if not np.isfinite(e).all():
-        raise NumericalError(
-            f"{what} at v = {params.v!r}, w = {params.w!r} exceed the float64 range"
-        )
-    return e
-
-
 def energy_bands(params: BulkParams, k):
     """Band energies at momentum k (scalar or array).
 
     Returns a BandPoint with e_plus = -e_minus >= 0. The couplings are
-    scaled by _scaled first, which keeps the squares from overflowing and
-    is exact, so ordinary couplings give the unscaled formula's bits;
-    bands beyond the float64 range are a NumericalError.
+    divided by their power_of_two, so ordinary couplings give the unscaled
+    formula's bits; bands beyond the float64 range are a NumericalError.
     """
     k = np.asarray(k, dtype=float)
-    s, scaled = _scaled(params)
-    v, w, a = scaled.v, scaled.w, scaled.a
-    e = _rescaled(s, np.sqrt(v * v + w * w + 2.0 * v * w * np.cos(a * k)), params, "the bands")
+    s = power_of_two(params.v, params.w)
+    v, w = params.v / s, params.w / s
+    e = scale_back(s, np.sqrt(v * v + w * w + 2.0 * v * w * np.cos(params.a * k)),
+                   f"the bands at v = {params.v!r}, w = {params.w!r}")
     return BandPoint(k=k, e_minus=-e, e_plus=e)
 
 
@@ -124,14 +94,14 @@ def phase_phi(params: BulkParams, k):
     noise floor are snapped to +0 before arctan2, which realizes the
     convention in floating point.
 
-    The phase is taken on the couplings scaled by _scaled, which leaves it
-    as it is, so the gap test is |h| < 1e-12 * s with the power of two
-    s <= max(|v|, |w|) < 2s, and a gapped h gets its phase at any magnitude.
+    The phase is taken on the couplings divided by their power_of_two s,
+    which leaves it as it is, so the gap test is |h| < 1e-12 * s, and a
+    gapped h gets its phase at any magnitude.
     """
     k = np.asarray(k, dtype=float)
-    s, scaled = _scaled(params)
-    v, w, a = scaled.v, scaled.w, scaled.a
-    ak = a * k
+    s = power_of_two(params.v, params.w)
+    v, w = params.v / s, params.w / s
+    ak = params.a * k
     x = v + w * np.cos(ak)
     y = _snapped(w, ak, -w * np.sin(ak))
     if np.any(np.hypot(x, y) < GAP_ABS_TOL):
@@ -178,7 +148,7 @@ def zak_wilson(params: BulkParams, band: str = "plus", nk: int = 2048) -> ZakRes
     Uses nk uniformly spaced momenta on [-pi/a, pi/a) (endpoint excluded;
     the loop closes on the first phase). Refuses with NumericalError if
     the sampled gap dips below 1e-8 * max(|v|, |w|). The couplings are
-    scaled by _scaled first, as in phase_phi.
+    divided by their power_of_two, as in phase_phi.
 
     For v*w < 0 the gap is smallest at k = 0, which an odd nk does not
     sample. The loop counts the phase's turn there only if the phase moves
@@ -186,8 +156,8 @@ def zak_wilson(params: BulkParams, band: str = "plus", nk: int = 2048) -> ZakRes
     Re h(k) = v + w cos(pi/nk) there does not have the sign opposite to
     h(0) = v + w; otherwise nk is refused (ValidationError), as is every odd
     nk at v = -w. Where Re h(k) = 0 the overlap vanishes (NumericalError).
-    The zone is sampled with a scaled by _unit_hop, which leaves every a*k
-    as it is and keeps the momenta finite at any a.
+    The zone is sampled with a divided by its power_of_two, which leaves
+    every a*k as it is and keeps the momenta finite at any a.
 
     The zone is swept in chunks of _K_CHUNK momenta, so memory does not
     grow with nk; only the first and last phases and the running product
@@ -199,8 +169,8 @@ def zak_wilson(params: BulkParams, band: str = "plus", nk: int = 2048) -> ZakRes
     band_sign(band)  # refuses an unknown band; both bands have the same overlaps
     if nk < WILSON_MIN_POINTS:
         raise ValidationError(f"nk must be >= {WILSON_MIN_POINTS}, got {nk}")
-    scaled = _unit_hop(_scaled(params)[1])
-    v, w, a = scaled.v, scaled.w, scaled.a
+    s = power_of_two(params.v, params.w)
+    v, w, a = params.v / s, params.w / s, params.a / power_of_two(params.a)
     h0, x_near = v + w, v + w * math.cos(math.pi / nk)
     if nk % 2 and v * w < 0.0 and (h0 == 0.0 or x_near * h0 < 0.0):
         raise ValidationError(

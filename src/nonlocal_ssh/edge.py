@@ -19,6 +19,9 @@ is rejected. On a grid of step dx only harmonics with n_s <= a/(2 dx) are
 resolvable; build_zero_mode refuses the others. The modes are of
 topological origin: they exist only for |w0| > |v0|, where each decays
 away from its wall, and build_zero_mode refuses every other box.
+
+build_zero_mode samples each mode in hop units, from the wall where it
+peaks, so no box length or hop overflows float64.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .finite import FiniteOperator
-from .model import FiniteParams, Grid, SpinorGrid, make_grid
+from .model import FiniteParams, Grid, SpinorGrid, make_grid, power_of_two
 
 COMPONENTS = ("A", "B")
 _ETA = {"A": -1.0, "B": 1.0}
@@ -89,20 +92,10 @@ def zero_mode_exponents(params: FiniteParams) -> tuple[complex, complex]:
     return complex(-rate, turn), complex(rate, 0.0 - turn)  # no -0.0 in the output
 
 
-def _over_a(factor: float, length, a: float):
-    """factor * length / a; length / a is formed first only where factor * length overflows."""
-    with np.errstate(over="ignore"):
-        scaled = factor * length
-    if not np.isfinite(scaled).all():
-        return factor * (length / a)
-    scaled /= a  # in place for a grid: one array, as the plain expression
-    return scaled
-
-
 def phase_label(n: int, m: int, params: FiniteParams) -> float:
     """Hard-wall phase offset (2m+1) pi/2 + n pi L / a for harmonic n."""
     _check_labels(n, m, params)
-    return float((2 * m + 1) * np.pi / 2.0 + _over_a(n * np.pi, params.L, params.a))
+    return float((2 * m + 1) * np.pi / 2.0 + n * np.pi * (params.L / params.a))
 
 
 def _check_labels(n: int, m: int, params: FiniteParams) -> None:
@@ -112,7 +105,7 @@ def _check_labels(n: int, m: int, params: FiniteParams) -> None:
         raise ValidationError("n = 0 makes the oscillatory factor vanish identically")
     if n < 0:
         raise ValidationError(f"harmonic n must be positive, got {n}")
-    ratio = _over_a(2.0 * n, params.L, params.a)
+    ratio = 2.0 * n * (params.L / params.a)
     if abs(ratio - round(ratio)) > 1e-9 * max(1.0, abs(ratio)):
         raise ValidationError(
             f"2nL/a = {ratio} is not an integer: cosine cannot vanish at both walls"
@@ -127,11 +120,20 @@ def _check_labels(n: int, m: int, params: FiniteParams) -> None:
 def build_zero_mode(params: FiniteParams, component: str, labels: EdgeLabels) -> ZeroModeAnalytic:
     """Sample one analytic zero mode on the grid (unit norm, one sublattice).
 
+    The mode is built in hop units, t = x/a = (i - (P-1)/2)/m at grid index
+    i, with q a = Re(qa) + i Im(qa) (see zero_mode_exponents) and its decay
+    taken from the wall t_wall where it peaks:
+
+        psi = osc * exp(Re(qa) (t - t_wall)) * exp(i Im(qa) t) / norm.
+
+    That is exp(q x) times a positive constant, so the normalized mode,
+    and its real part, are those of osc * exp(q x) at any box length; the
+    factor is at most 1, and a tail beyond float64 underflows to zeros.
+
     Raises ValidationError outside the topological phase (|v0| >= |w0|),
-    where the box has no zero modes, and when the sampled oscillatory factor vanishes at
-    every grid point, which happens for the Nyquist-edge harmonic on boxes
-    with integer L/a, and NumericalError when the mode's norm before
-    normalization overflows float64 (ln|w0/v0|*L/a above about 700).
+    where the box has no zero modes, and when the sampled oscillatory factor
+    vanishes at every grid point, which happens for the Nyquist-edge
+    harmonic on boxes with integer L/a.
     """
     if component not in COMPONENTS:
         raise ValidationError(f"component must be one of {COMPONENTS}, got {component!r}")
@@ -144,21 +146,23 @@ def build_zero_mode(params: FiniteParams, component: str, labels: EdgeLabels) ->
     q = q_a if component == "A" else q_b
     phi = phase_label(labels.n, labels.m, params)
     grid = make_grid(params)
-    osc = np.cos(_over_a(2.0 * np.pi * labels.n, grid.x, params.a) + phi)
+    p = grid.n
+    t = (np.arange(p) - 0.5 * (p - 1)) / params.hop_steps  # x/a
+    osc = np.cos(2.0 * np.pi * labels.n * t + phi)
     if np.max(np.abs(osc)) < 1e-9:
         raise ValidationError(
             f"harmonic n = {labels.n} vanishes at every grid point of this box"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        psi = osc * np.exp(q * grid.x)
-        nrm = np.linalg.norm(psi)
-    if not (np.isfinite(nrm) and nrm > 0.0):
-        growth = _log_ratio(params) * params.L / params.a
-        raise NumericalError(
-            f"the unnormalized {component} mode overflows float64: "
-            f"ln|w0/v0|*L/a = {growth:.6g} is too large"
-        )
-    psi = psi / nrm
+    eta = _ETA[component]
+    decay = eta * _log_ratio(params)  # Re(qa)
+    turn = -eta * np.pi if (params.v0 > 0.0) == (params.w0 > 0.0) else 0.0  # Im(qa)
+    wall = t[0] if decay < 0.0 else t[-1]  # where the mode peaks
+    psi = np.empty(p, dtype=complex)
+    np.multiply(t - wall, decay, out=psi.real)
+    np.multiply(t, turn, out=psi.imag)
+    np.exp(psi, out=psi)
+    psi *= osc
+    psi /= np.linalg.norm(psi)
     zero = np.zeros_like(psi)
     if component == "A":
         state = SpinorGrid(grid=grid, psi_a=psi, psi_b=zero)
@@ -189,10 +193,12 @@ def localization_fit(grid: Grid, values: np.ndarray, a: float) -> LocalizationFi
 
     The grid is cut into consecutive windows of a/dx points; the largest
     magnitude in each window and its position enter an ordinary
-    least-squares line through (x/s, log |psi|), where s is the power of
-    two next to a: the division is exact, so the slope is the fitted one
-    over s bit for bit, and x/s stays near 1 at any a. Needs at least
-    MIN_PEAKS windows with nonzero maxima.
+    least-squares line through (x/s, log |psi|), where s is a's
+    power_of_two: the division is exact, so the slope is the fitted one
+    over s bit for bit, and x/s stays near 1 at any a. A maximum enters only
+    as a normal float64: a subnormal one has lost bits, and the tail of a
+    strongly localized mode underflows through them to zeros. Needs at
+    least MIN_PEAKS such windows.
     """
     values = np.asarray(values)
     if values.shape != (grid.n,):
@@ -202,13 +208,13 @@ def localization_fit(grid: Grid, values: np.ndarray, a: float) -> LocalizationFi
     windows = np.abs(values)[: k * m].reshape(k, m)
     j = np.argmax(windows, axis=1)
     peaks = windows[np.arange(k), j]
-    keep = peaks > 0.0
+    keep = peaks >= sys.float_info.min
     peaks = peaks[keep]
     locs = grid.x[(np.arange(k) * m + j)[keep]]
     if len(peaks) < MIN_PEAKS:
         raise ValidationError(
             f"need at least {MIN_PEAKS} envelope maxima, found {len(peaks)}"
         )
-    s = math.ldexp(1.0, math.frexp(a)[1])
+    s = power_of_two(a)
     slope, intercept = np.polyfit(locs / s, np.log(peaks), 1)
     return LocalizationFit(slope=float(slope) / s, intercept=float(intercept), n_peaks=len(peaks))

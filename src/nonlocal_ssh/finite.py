@@ -15,7 +15,9 @@ two distinct cell counts.
 The eigensolver uses that decomposition: each distinct cell count is
 solved once, in O(n), from its chain's quantization condition, and the
 levels are tiled by multiplicity, which gives the spectrum as exact +-sigma
-pairs (chiral symmetry built in). States are built only for the levels
+pairs (chiral symmetry built in). Each chain is solved on couplings divided
+by their power_of_two and its levels go back through scale_back (see
+model), as the residual's defects are scaled before they are squared. States are built only for the levels
 that are read. compare_ssh takes the single P-cell chain's levels from
 LAPACK's SVD of its dense block.
 
@@ -31,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
-from .model import FiniteParams, Grid, SpinorGrid, make_grid
+from .errors import ValidationError
+from .model import FiniteParams, Grid, SpinorGrid, make_grid, power_of_two, scale_back
 
 # relative (to |w0|) half-width of the "zero energy" window
 ZERO_TOL_DEFAULT = 1e-8
@@ -231,10 +233,9 @@ def _sampled_residual(op: FiniteOperator, evals: np.ndarray, states) -> float:
     of two P x 19 blocks, so C and C^T are applied once each; the blocks
     are overwritten.
 
-    The defects are squared as they are. Only where the largest sum of
-    squares shows that a square may have overflowed or underflowed are they
-    first divided by a power of two near the largest defect, which is
-    exact, so couplings near the float64 limits get a finite bound.
+    The defects are divided by their power_of_two before they are squared,
+    which is exact, so couplings near the float64 limits get a finite bound
+    and ordinary ones the bits of the unscaled sum.
     """
     p, dim = op.n_points, op.dimension
     sample = np.array(sorted({(dim - 1) * i // 16 for i in range(17)} | {p - 1, p}))
@@ -246,19 +247,11 @@ def _sampled_residual(op: FiniteOperator, evals: np.ndarray, states) -> float:
     psi_b *= lam
     defect_a -= psi_a
     defect_b -= psi_b
-
-    def largest_square() -> float:
-        return float(np.max(np.einsum("ij,ij->j", defect_a, defect_a)
-                            + np.einsum("ij,ij->j", defect_b, defect_b)))
-
-    with np.errstate(over="ignore"):
-        squared = largest_square()
-    if 2.0**-900 <= squared <= 2.0**1000:
-        return math.sqrt(squared)
-    s = math.ldexp(1.0, math.frexp(max(np.max(np.abs(defect_a)), np.max(np.abs(defect_b))))[1])
+    s = power_of_two(defect_a.min(), defect_a.max(), defect_b.min(), defect_b.max())
     defect_a /= s
     defect_b /= s
-    return s * math.sqrt(largest_square())
+    return s * math.sqrt(float(np.max(np.einsum("ij,ij->j", defect_a, defect_a)
+                                      + np.einsum("ij,ij->j", defect_b, defect_b))))
 
 
 def spectrum(op: FiniteOperator) -> SpectrumResult:
@@ -275,21 +268,12 @@ def spectrum(op: FiniteOperator) -> SpectrumResult:
     """
     check_levels(op.params)
     evals, states = _chain_eigensystem(op)
-    _require_finite_levels(evals, op.params, "the box")
     return SpectrumResult(
         eigenvalues=evals,
         vectors=_LazyStates(range(op.dimension),
                             lambda j: SpinorGrid(op.grid, *(s[:, 0] for s in states([j])))),
         residual_bound=_sampled_residual(op, evals, states),
     )
-
-
-def _require_finite_levels(levels: np.ndarray, params: FiniteParams, what: str) -> None:
-    if not np.isfinite(levels).all():
-        raise NumericalError(
-            f"the levels of {what} at v0 = {params.v0!r}, w0 = {params.w0!r} "
-            "exceed the float64 range"
-        )
 
 
 def default_zero_tol(params: FiniteParams) -> float:
@@ -356,10 +340,12 @@ def compare_ssh(params: FiniteParams, tol_zero: float | None = None) -> Spectrum
     """
     tol_zero = check_zero_window(default_zero_tol(params) if tol_zero is None else tol_zero)
     # the P-cell chain is the m = 1 case of the box's chain block; its dense
-    # size guard is the stricter one, so it runs before the box is built
+    # size guard is the stricter one, so it runs before the box is built;
+    # LAPACK scales the block itself, so its levels need only the range check
     s = np.linalg.svd(_chain_block(params.n_points, params.v0, params.w0), compute_uv=False)
-    e_chain = np.concatenate([-s, s[::-1]])
-    _require_finite_levels(e_chain, params, f"the {params.n_points}-cell chain")
+    e_chain = scale_back(1.0, np.concatenate([-s, s[::-1]]),
+                         f"the levels of the {params.n_points}-cell chain "
+                         f"at v0 = {params.v0!r}, w0 = {params.w0!r}")
     e_box = spectrum(build_finite(params)).eigenvalues
     return SpectrumComparison(
         e_box=e_box,

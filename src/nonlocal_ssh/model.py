@@ -5,6 +5,12 @@ by (v, w, a): v is the local A-B coupling, w the non-local coupling acting
 over the fixed distance a. In a finite box of length L the couplings take
 the constant values (v0, w0) inside [-L/2, L/2] and vanish outside, and the
 box is discretized with step dx commensurate with a.
+
+Magnitudes have one rule: a kernel divides its couplings (or its hop, or
+its samples) by power_of_two, the power of two at or below the largest
+magnitude, which is exact and leaves that magnitude in [1, 2), and its
+results go back through scale_back, the one place that refuses a float64
+overflow.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 EPS = float(np.finfo(float).eps)
 
@@ -35,6 +41,28 @@ def band_sign(band: str) -> float:
 def wrap_angle(x: float) -> float:
     """Reduce an angle to the principal range (-pi, pi]."""
     return np.pi - (np.pi - x) % (2.0 * np.pi)
+
+
+def power_of_two(*values: float) -> float:
+    """The power of two s with s <= max |x| < 2s over the values; 1.0 where all are 0.
+
+    Division by s is exact and puts the largest magnitude in [1, 2), so
+    squares and sums of the scaled values cannot overflow and results keep
+    their bits; s is a finite float64 for every finite value, subnormals
+    included.
+    """
+    top = max(map(abs, values))
+    return math.ldexp(1.0, math.frexp(top)[1] - 1) if top else 1.0
+
+
+def scale_back(s: float, values, what: str):
+    """s * values, the one way back from scaled units; a NumericalError
+    "{what} exceed the float64 range" where the product leaves it."""
+    with np.errstate(over="ignore"):
+        values = s * values
+    if not np.isfinite(values).all():
+        raise NumericalError(f"{what} exceed the float64 range")
+    return values
 
 
 def _require_finite(**values: float) -> None:
@@ -143,9 +171,9 @@ class SpinorGrid:
             )
 
     def norm(self) -> float:
-        """Euclidean norm. The magnitudes are divided by the power of two next
-        to the largest before they are squared: that is exact, so tiny or huge
-        states neither underflow nor overflow, and ordinary ones keep their bits."""
+        """Euclidean norm, taken on the magnitudes divided by their power_of_two:
+        tiny or huge states neither underflow nor overflow, and ordinary ones
+        keep their bits."""
         a, b = np.abs(self.psi_a), np.abs(self.psi_b)
-        s = math.ldexp(1.0, math.frexp(max(a.max(initial=0.0), b.max(initial=0.0)))[1])
+        s = power_of_two(a.max(initial=0.0), b.max(initial=0.0))
         return float(s * np.sqrt(np.sum((a / s) ** 2) + np.sum((b / s) ** 2)))

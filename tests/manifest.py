@@ -64,6 +64,8 @@ EDGE = [
     "edge --v0 0.5 --w0 1 --a 1e-300 --L 2e-299 --dx 1e-301 --n-a 1 --n-b 1",
     f"edge --v0 0.5 --w0 -1 {ACCEPTANCE} --n-a 3 --m-a 1 --n-b 5 --m-b 2",
     f"edge --v0 -0.5 --w0 1 {ACCEPTANCE} --n-a 3 --m-a 1 --n-b 5 --m-b 2 --out modes.csv",
+    # 49 hops: an odd count, where a wall shift in the complex exponent turns Re psi into Im psi
+    "edge --v0 0.5 --w0 1 --a 0.2 --L 9.8 --dx 0.01 --n-a 3 --m-a 1 --n-b 5 --m-b 2",
 ]
 
 BULK = [
@@ -108,6 +110,7 @@ EXTREME = [
     "edge --v0 0.5 --w0 1 --a 1e308 --L 1.6e308 --dx 1e307 --n-a 1 --n-b 1",
     "edge --v0 0.5 --w0 1 --a 1e307 --L 1.6e308 --dx 1e306 --n-a 1 --n-b 1",
     "edge --v0 0.5 --w0 1 --a 1e-310 --L 2e-309 --dx 1e-311 --n-a 1 --n-b 1",
+    "edge --v0 0.5 --w0 1 --a 0.1 --L 150 --dx 0.01 --n-a 1 --n-b 1",
 ]
 
 COMMANDS = list(dict.fromkeys(README + BOXES + EDGE + BULK + EXTREME))  # each line once

@@ -69,7 +69,10 @@ def _zak_complex_states(params, band, nk):
     s = band_sign(band)
     if nk < bulk.WILSON_MIN_POINTS:
         raise ValidationError(f"nk must be >= {bulk.WILSON_MIN_POINTS}, got {nk}")
-    scaled = bulk._unit_hop(bulk._scaled(params)[1])
+    # the couplings over the power of two at or below the larger, a over its own
+    scale = math.ldexp(1.0, math.frexp(max(abs(params.v), abs(params.w)))[1] - 1)
+    scaled = BulkParams(v=params.v / scale, w=params.w / scale,
+                        a=math.ldexp(params.a, 1 - math.frexp(params.a)[1]))
     v, w, a = scaled.v, scaled.w, scaled.a
     h0, x_near = v + w, v + w * math.cos(math.pi / nk)
     if nk % 2 and v * w < 0.0 and (h0 == 0.0 or x_near * h0 < 0.0):

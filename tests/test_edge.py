@@ -16,7 +16,7 @@ from nonlocal_ssh.edge import (
     phase_label,
     zero_mode_exponents,
 )
-from nonlocal_ssh.errors import NumericalError, ValidationError
+from nonlocal_ssh.errors import ValidationError
 from nonlocal_ssh.finite import build_finite, spectrum
 from nonlocal_ssh.model import FiniteParams, make_grid
 
@@ -137,6 +137,32 @@ def test_phase_branch_redundancy():
     plus1 = build_zero_mode(BOX, "A", EdgeLabels(n=3, m=2)).state.psi_a
     assert np.allclose(plus2, base, atol=1e-12)  # m -> m+2 is the same state
     assert np.allclose(plus1, -base, atol=1e-12)  # m -> m+1 is a global sign
+
+
+def _mode_in_x(params, component, labels):
+    """osc(x) * exp(q x), normalized: the mode as built in x, before hop units."""
+    q_a, q_b = zero_mode_exponents(params)
+    x = make_grid(params).x
+    phase = 2.0 * np.pi * labels.n * x / params.a + phase_label(labels.n, labels.m, params)
+    psi = np.cos(phase) * np.exp((q_a if component == "A" else q_b) * x)
+    return psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("hops", [49, 50])
+@pytest.mark.parametrize("v0, w0", [(0.5, 1.0), (-0.5, -1.0), (0.5, -1.0)])
+def test_modes_keep_the_phase_reference_of_exp_qx(hops, v0, w0):
+    # the decay is taken from the peak wall in the real exponent only, so Re psi
+    # is that of exp(q x); shifting the complex exponent instead multiplies the
+    # mode by exp(-i Im(qa) t_wall) = exp(-+i pi hops/2), which turns Re psi
+    # into +-Im psi for an odd number of hops and flips its sign for 50
+    box = FiniteParams(v0=v0, w0=w0, a=0.2, L=hops * 0.2, dx=0.01)
+    for comp, labels in (("A", EdgeLabels(n=3, m=1)), ("B", EdgeLabels(n=5, m=2))):
+        state = build_zero_mode(box, comp, labels).state
+        psi = state.psi_a if comp == "A" else state.psi_b
+        want = _mode_in_x(box, comp, labels)
+        peak = np.max(np.abs(want))
+        assert np.max(np.abs(psi.real - want.real)) <= 1e-10 * peak
+        assert np.max(np.abs(psi.imag - want.imag)) <= 1e-10 * peak
 
 
 def test_component_validation():
@@ -291,9 +317,15 @@ def test_coupling_ratio_beyond_float64():
     assert q_a.real == pytest.approx(2 * 300 * np.log(10.0), rel=1e-14)
     with pytest.raises(ValidationError, match="not in the topological phase"):
         build_zero_mode(flipped, "A", EdgeLabels(1, 0))
+    # the mode decays by that per hop, e^-138 per grid step, from its peak
+    # wall: it used to be refused as overflowing (ln|w0/v0|*L/a = 27631); its
+    # tail now underflows to zeros, and one window of the envelope is left
     wide = FiniteParams(v0=1e-300, w0=1e300, a=1.0, L=20.0, dx=0.1)
-    with pytest.raises(NumericalError, match=r"ln\|w0/v0\|\*L/a = 27631 is too large"):
-        build_zero_mode(wide, "A", EdgeLabels(1, 0))
+    mode = build_zero_mode(wide, "A", EdgeLabels(1, 0)).state
+    assert mode.norm() == pytest.approx(1.0, rel=1e-15)
+    assert np.count_nonzero(mode.psi_a) == 6 and np.all(mode.psi_a[:6] != 0.0)
+    with pytest.raises(ValidationError, match="need at least 10 envelope maxima, found 1"):
+        localization_fit(make_grid(wide), mode.psi_a, wide.a)
 
 
 def _edge_argv(a, L, dx):
