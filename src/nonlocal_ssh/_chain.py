@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .model import EPS, power_of_two, scale_back
+from .model import EPS, log_ratio, power_of_two, scale_back
 
 # safeguarded Newton steps per root; bisection alone needs about 60
 _ROOT_STEPS = 100
@@ -77,18 +77,18 @@ class ChainLevels:
         if v == 0.0:
             return math.inf
         # kappa + log1p(q(kappa)) = ln(w/v), q = -expm1(-2 kappa)/expm1(2 n kappa)
-        log_ratio = math.log1p((w - v) / v) if w <= 2.0 * v else math.log(w) - math.log(v)
-        if math.log1p(1.0 / n) >= log_ratio:
+        ln_ratio = log_ratio(v, w)
+        if math.log1p(1.0 / n) >= ln_ratio:
             return 0.0
 
         def q(kappa):
             return 0.0 if 2 * n * kappa > 700.0 else -math.expm1(-2.0 * kappa) / math.expm1(2 * n * kappa)
 
-        lo, hi = 0.0, log_ratio
-        kappa = log_ratio - math.log1p(q(log_ratio))
+        lo, hi = 0.0, ln_ratio
+        kappa = ln_ratio - math.log1p(q(ln_ratio))
         for _ in range(_ROOT_STEPS):
             qk = q(kappa)
-            f = kappa + math.log1p(qk) - log_ratio
+            f = kappa + math.log1p(qk) - ln_ratio
             df = 1.0 + qk / (1.0 + qk) * (1.0 / math.tanh(kappa) - n / math.tanh(n * kappa) - (n + 1))
             if f < 0.0:
                 lo = kappa
@@ -177,8 +177,6 @@ def _bracket_roots(chains: list[ChainLevels]) -> list[np.ndarray]:
     would stop, so every root has the bits it has when its chain is solved
     alone.
     """
-    if not chains:
-        return []
     v, w = chains[0].v, chains[0].w
     if w == 0.0:  # B = v*I: theta = (n - j) pi/(n + 1)
         return [np.full(c.j.size, c.h) for c in chains]

@@ -288,16 +288,16 @@ def _cmd_edge(args) -> int:
     op = finite.build_finite(params)
     mode_a = edge.build_zero_mode(params, "A", edge.EdgeLabels(n=args.n_a, m=args.m_a))
     mode_b = edge.build_zero_mode(params, "B", edge.EdgeLabels(n=args.n_b, m=args.m_b))
-    res_a = edge.operator_residual(op, mode_a.state)
-    res_b = edge.operator_residual(op, mode_b.state)
-    fit_a = edge.localization_fit(op.grid, mode_a.state.psi_a, params.a)
-    fit_b = edge.localization_fit(op.grid, mode_b.state.psi_b, params.a)
+    res_a = edge.operator_residual(op, mode_a)
+    res_b = edge.operator_residual(op, mode_b)
+    fit_a = edge.localization_fit(op.grid, mode_a.psi, params.a)
+    fit_b = edge.localization_fit(op.grid, mode_b.psi, params.a)
     table = Table(
         columns=["x", "abs_psi_a", "abs_psi_b", "re_psi_a", "re_psi_b"],
         rows=np.column_stack([
             op.grid.x,
-            np.abs(mode_a.state.psi_a), np.abs(mode_b.state.psi_b),
-            np.real(mode_a.state.psi_a), np.real(mode_b.state.psi_b),
+            np.abs(mode_a.psi), np.abs(mode_b.psi),
+            np.real(mode_a.psi), np.real(mode_b.psi),
         ]),
     )
     inputs = {"command": "edge", **dataclasses.asdict(params),

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .finite import FiniteOperator
-from .model import FiniteParams, Grid, SpinorGrid, make_grid, power_of_two
+from .model import FiniteParams, Grid, log_ratio, norm, power_of_two
 
 COMPONENTS = ("A", "B")
 _ETA = {"A": -1.0, "B": 1.0}
@@ -53,21 +53,13 @@ class EdgeLabels:
 
 @dataclass(frozen=True)
 class ZeroModeAnalytic:
-    """One closed-form zero mode: component, exponent, labels, sampled state."""
+    """One closed-form zero mode: component, exponent, labels, samples psi on its sublattice."""
 
     component: str
     q: complex
     labels: EdgeLabels
     phase: float
-    state: SpinorGrid
-
-
-def _log_ratio(params: FiniteParams) -> float:
-    """ln|w0/v0|; from the log of each coupling where the ratio is not a normal float64."""
-    ratio = abs(params.w0 / params.v0)
-    if sys.float_info.min <= ratio < math.inf:
-        return float(np.log(ratio))
-    return math.log(abs(params.w0)) - math.log(abs(params.v0))
+    psi: np.ndarray
 
 
 def zero_mode_exponents(params: FiniteParams) -> tuple[complex, complex]:
@@ -81,12 +73,10 @@ def zero_mode_exponents(params: FiniteParams) -> tuple[complex, complex]:
     """
     if params.v0 == 0.0 or params.w0 == 0.0:
         raise ValidationError("zero-mode exponents need v0 != 0 and w0 != 0")
-    rate = _log_ratio(params) / params.a
+    rate = log_ratio(params.v0, params.w0) / params.a
     turn = np.pi / params.a if (params.v0 > 0.0) == (params.w0 > 0.0) else 0.0  # v0*w0 may underflow
     if not math.isfinite(rate):
-        raise ValidationError(
-            f"the decay rate ln|w0/v0|/a at --a = {params.a!r} leaves the float64 range"
-        )
+        raise ValidationError(f"the decay rate ln|w0/v0|/a at --a = {params.a!r} leaves the float64 range")
     if not math.isfinite(turn):
         raise ValidationError(f"the phase rate pi/a at --a = {params.a!r} leaves the float64 range")
     return complex(-rate, turn), complex(rate, 0.0 - turn)  # no -0.0 in the output
@@ -118,7 +108,7 @@ def _check_labels(n: int, m: int, params: FiniteParams) -> None:
 
 
 def build_zero_mode(params: FiniteParams, component: str, labels: EdgeLabels) -> ZeroModeAnalytic:
-    """Sample one analytic zero mode on the grid (unit norm, one sublattice).
+    """Sample one analytic zero mode on its sublattice's grid points (unit norm).
 
     The mode is built in hop units, t = x/a = (i - (P-1)/2)/m at grid index
     i, with q a = Re(qa) + i Im(qa) (see zero_mode_exponents) and its decay
@@ -145,16 +135,13 @@ def build_zero_mode(params: FiniteParams, component: str, labels: EdgeLabels) ->
         )
     q = q_a if component == "A" else q_b
     phi = phase_label(labels.n, labels.m, params)
-    grid = make_grid(params)
-    p = grid.n
+    p = params.n_points
     t = (np.arange(p) - 0.5 * (p - 1)) / params.hop_steps  # x/a
     osc = np.cos(2.0 * np.pi * labels.n * t + phi)
     if np.max(np.abs(osc)) < 1e-9:
-        raise ValidationError(
-            f"harmonic n = {labels.n} vanishes at every grid point of this box"
-        )
+        raise ValidationError(f"harmonic n = {labels.n} vanishes at every grid point of this box")
     eta = _ETA[component]
-    decay = eta * _log_ratio(params)  # Re(qa)
+    decay = eta * log_ratio(params.v0, params.w0)  # Re(qa)
     turn = -eta * np.pi if (params.v0 > 0.0) == (params.w0 > 0.0) else 0.0  # Im(qa)
     wall = t[0] if decay < 0.0 else t[-1]  # where the mode peaks
     psi = np.empty(p, dtype=complex)
@@ -162,21 +149,17 @@ def build_zero_mode(params: FiniteParams, component: str, labels: EdgeLabels) ->
     np.multiply(t, turn, out=psi.imag)
     np.exp(psi, out=psi)
     psi *= osc
-    psi /= np.linalg.norm(psi)
-    zero = np.zeros_like(psi)
-    if component == "A":
-        state = SpinorGrid(grid=grid, psi_a=psi, psi_b=zero)
-    else:
-        state = SpinorGrid(grid=grid, psi_a=zero, psi_b=psi)
-    return ZeroModeAnalytic(component=component, q=q, labels=labels, phase=phi, state=state)
+    psi /= norm(psi)
+    return ZeroModeAnalytic(component=component, q=q, labels=labels, phase=phi, psi=psi)
 
 
-def operator_residual(op: FiniteOperator, state: SpinorGrid) -> float:
-    """||H psi|| / ||psi|| for a candidate kernel state."""
-    nrm = state.norm()
+def operator_residual(op: FiniteOperator, mode: ZeroModeAnalytic) -> float:
+    """||H psi|| / ||psi||: ||C^T psi|| for an A mode, ||C psi|| for a B mode, over ||psi||."""
+    nrm = norm(mode.psi)
     if nrm == 0.0:
         raise ValidationError("cannot take the residual of the zero vector")
-    return op.apply(state).norm() / nrm
+    block = op.c_block.T if mode.component == "A" else op.c_block
+    return norm(block @ mode.psi) / nrm
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+import sys
 
 import numpy as np
 
@@ -53,6 +54,26 @@ def power_of_two(*values: float) -> float:
     """
     top = max(map(abs, values))
     return math.ldexp(1.0, math.frexp(top)[1] - 1) if top else 1.0
+
+
+def norm(*arrays) -> float:
+    """Euclidean norm of the arrays together, taken on magnitudes over their power_of_two."""
+    mags = [np.abs(x) for x in arrays]
+    s = power_of_two(*(m.max(initial=0.0) for m in mags))
+    return float(s * np.sqrt(sum(np.sum((m / s) ** 2) for m in mags)))
+
+
+def log_ratio(v: float, w: float) -> float:
+    """ln(|w|/|v|) for nonzero v, w to a few ulps, with no rounded ratio: log1p((w - v)/v)
+    for 1/2 <= |w/v| <= 2, where w - v is exact (Sterbenz), else ln|w| - ln|v| over their
+    power_of_two (unscaled where that makes the smaller subnormal; the difference is > 708)."""
+    v, w = abs(v), abs(w)
+    if 0.5 * v <= w <= 2.0 * v:
+        return math.log1p((w - v) / v)
+    s = power_of_two(v, w)
+    if min(v, w) / s >= sys.float_info.min:
+        v, w = v / s, w / s
+    return math.log(w) - math.log(v)
 
 
 def scale_back(s: float, values, what: str):
@@ -171,9 +192,5 @@ class SpinorGrid:
             )
 
     def norm(self) -> float:
-        """Euclidean norm, taken on the magnitudes divided by their power_of_two:
-        tiny or huge states neither underflow nor overflow, and ordinary ones
-        keep their bits."""
-        a, b = np.abs(self.psi_a), np.abs(self.psi_b)
-        s = power_of_two(a.max(initial=0.0), b.max(initial=0.0))
-        return float(s * np.sqrt(np.sum((a / s) ** 2) + np.sum((b / s) ** 2)))
+        """Euclidean norm of both components (model.norm)."""
+        return norm(self.psi_a, self.psi_b)

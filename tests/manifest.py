@@ -56,6 +56,9 @@ BOXES = [
     "finite --v0 0.5 --w0 1 --a 0.01 --L 400 --dx 0.01 --out chain.csv",  # one 40001-cell chain
     "compare-ssh --v0 0.5 --w0 1 --a 0.01 --L 400 --dx 0.01",  # its dense block is refused
     "finite --v0 0.5 --w0 1 --a 0.2 --L 100 --dx 0.01 --out levels.csv",  # 20002 levels
+    # two 2-cell chains on the edge-pair threshold 2(|w0| - |v0|) = |v0|: kappa = 0
+    "finite --v0 1 --w0 1.5 --a 2 --L 3 --dx 1",
+    "compare-ssh --v0 1 --w0 1.5 --a 2 --L 3 --dx 1",
 ]
 
 EDGE = [
@@ -66,6 +69,8 @@ EDGE = [
     f"edge --v0 -0.5 --w0 1 {ACCEPTANCE} --n-a 3 --m-a 1 --n-b 5 --m-b 2 --out modes.csv",
     # 49 hops: an odd count, where a wall shift in the complex exponent turns Re psi into Im psi
     "edge --v0 0.5 --w0 1 --a 0.2 --L 9.8 --dx 0.01 --n-a 3 --m-a 1 --n-b 5 --m-b 2",
+    # |w0/v0| = 1 + 1.4e-10, where the log of the rounded ratio lost 6 digits of Re q
+    "edge --v0 0.7 --w0 0.7000000001 --a 1 --L 20 --dx 0.1 --n-a 1 --n-b 1",
 ]
 
 BULK = [

@@ -135,9 +135,9 @@ def test_criterion_7_edge_modes():
     rate = np.log(abs(BOX.w0 / BOX.v0)) / BOX.a
     mode_a = build_zero_mode(BOX, "A", EdgeLabels(n=3, m=1))
     mode_b = build_zero_mode(BOX, "B", EdgeLabels(n=5, m=2))
-    for mode, psi, sign in ((mode_a, mode_a.state.psi_a, -1.0),
-                            (mode_b, mode_b.state.psi_b, +1.0)):
-        assert operator_residual(op, mode.state) < 1e-10
+    for mode, psi, sign in ((mode_a, mode_a.psi, -1.0),
+                            (mode_b, mode_b.psi, +1.0)):
+        assert operator_residual(op, mode) < 1e-10
         peak = np.max(np.abs(psi))
         assert abs(psi[0]) < 1e-10 * peak and abs(psi[-1]) < 1e-10 * peak
         fit = localization_fit(op.grid, psi, BOX.a)

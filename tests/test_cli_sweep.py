@@ -5,31 +5,35 @@ the hop length a over [1e-323, 1e308], each passed as a token of its own,
 with small grids and optional wide k ranges (also on the all-orders
 approx table, which refuses them) and Berry cutoffs. Box runs (finite,
 with and without --vectors --out, compare-ssh and edge) take a over
-[1e-300, 1e300], L = j a and dx = a/m for small integers j >= 10 and m.
+[1e-300, 1e300], L = j a and dx = a/m for small integers j >= 10 and m,
+and a third of them ln|w0/v0| L/a in [710, 1500] over 100 to 150 hops.
 Every run answers or refuses cleanly: exit 0, 2 or 3, no Python warning,
 and a refusal writes one stderr line, naming no flag the command line does
 not hold (the zero-mode window names --tol-zero either way), and nothing
 to stdout or to the --out directory. An answer is right: bands against
 |v + w e^{-iak}|, Zak phases against the closed form, box levels against
 the SVD of each chain block (box_reference.py), midgap counts against
-those levels and edge slopes against the closed-form decay rates. Gapped
-couplings are answered, by zak at every a, and so is every box whose
-levels and zero-mode window are finite.
+those levels, and edge exponents against ln|w0/v0|/a in 40-digit decimal
+and slopes against the closed-form decay rates. Gapped couplings are
+answered, by zak at every a, and so is every box whose levels and
+zero-mode window are finite.
 """
 
 import contextlib
+import decimal
 import io
 import json
 import math
 import re
 import tempfile
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
 from box_reference import chain_cells, reference_levels
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonlocal_ssh import cli
@@ -161,17 +165,26 @@ def _json_line(err, key):
 @st.composite
 def box_runs(draw):
     """(params, argv, out) for one finite, compare-ssh or edge run; out: whether it takes --out."""
-    v0 = draw(COUPLING)
-    if draw(st.booleans()):
-        w0 = draw(COUPLING)
-    else:  # within three decades of v0, where edge's modes fit in float64
-        e = min(max(math.log10(abs(v0)) + draw(_signed(st.floats(1e-9, 3))), -320.0), 308.0)
-        w0 = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** e
-    if abs(v0) > abs(w0) and draw(st.booleans()):  # the topological phase, 3 draws in 4
-        v0, w0 = w0, v0
+    couplings = draw(st.sampled_from(["any", "near", "deep"]))
+    if couplings == "deep":
+        # ln|w0/v0| L/a in [710, 1500] over 100 to 150 hops: the edge modes'
+        # tails fall through the subnormals to zeros (m >= 3 has harmonics)
+        m, hops = draw(st.integers(3, 6)), draw(st.integers(100, 150))
+        v0 = draw(_signed(_log_uniform(1e-300, 1e300)))
+        w0 = draw(_signed(st.floats(710.0, 1500.0).map(lambda d: abs(v0) * math.exp(d / hops))))
+    else:
+        m = draw(st.integers(1, 19))
+        hops = draw(st.integers(10, max(10, 199 // m)))
+        v0 = draw(COUPLING)
+        if couplings == "any":
+            w0 = draw(COUPLING)
+        else:  # within three decades of v0, where edge's modes fit in float64
+            e = min(max(math.log10(abs(v0)) + draw(_signed(st.floats(1e-9, 3))), -320.0), 308.0)
+            w0 = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** e
+        if abs(v0) > abs(w0) and draw(st.booleans()):  # the topological phase, 3 draws in 4
+            v0, w0 = w0, v0
     a = draw(_log_uniform(1e-300, 1e300))
-    m = draw(st.integers(1, 19))
-    L, dx = draw(st.integers(10, max(10, 199 // m))) * a, a / m
+    L, dx = hops * a, a / m
     box = ["--v0", repr(v0), "--w0", repr(w0), "--a", repr(a), "--L", repr(L), "--dx", repr(dx)]
     commands = ["edge", "finite", "finite --out", "finite --vectors", "compare-ssh"]
     command = draw(st.sampled_from(commands))
@@ -237,9 +250,16 @@ def _check_compare(params, table, err):
 
 
 def _check_edge(params, err):
+    # Re q against ln|w0/v0|/a from the exact binary inputs to 40 digits,
+    # to a few ulps (a subnormal rate to the nearest multiple of TINY)
+    result = _json_line(err, "fitted_slope_a")
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        rate = (Decimal(abs(params.w0)) / Decimal(abs(params.v0))).ln() / Decimal(params.a)
+    for got in (-result["q_a"]["re"], result["q_b"]["re"]):
+        assert abs(Decimal(got) - rate) <= 8 * Decimal(EPS) * abs(rate) + Decimal(TINY), (got, rate)
     # the log-envelope is rounded to about eps, so a nearly flat one
     # (|w0/v0| near 1) fixes its slope only to about eps/L
-    result = _json_line(err, "fitted_slope_a")
     q_a, q_b = zero_mode_exponents(params)
     for got, want in ((result["fitted_slope_a"], q_a.real), (result["fitted_slope_b"], q_b.real)):
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12 / params.L)
@@ -255,8 +275,14 @@ def _box_must_answer(params, argv):
     return finite_levels and 0.0 < tol * abs(params.w0) < math.inf
 
 
+# |w0/v0| = 1 + 1.4e-10, where the log of the rounded ratio lost 6 digits of Re q
+NEAR_CRITICAL = ["edge", "--v0", "0.7", "--w0", "0.7000000001", "--a", "1", "--L", "20", "--dx", "0.1",
+                 "--n-a", "1", "--n-b", "1"]
+
+
 @settings(max_examples=500, deadline=None)
 @given(box_runs())
+@example((FiniteParams(v0=0.7, w0=0.7000000001, a=1.0, L=20.0, dx=0.1), NEAR_CRITICAL, False))
 def test_box_commands_answer_or_refuse_cleanly(run):
     params, argv, out = run
     with tempfile.TemporaryDirectory() as tmp:

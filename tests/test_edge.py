@@ -1,5 +1,6 @@
 import json
 import re
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from nonlocal_ssh.edge import (
 )
 from nonlocal_ssh.errors import ValidationError
 from nonlocal_ssh.finite import build_finite, spectrum
-from nonlocal_ssh.model import FiniteParams, make_grid
+from nonlocal_ssh.model import FiniteParams, make_grid, norm
 
 # the standard box geometry: 50 hop lengths across, 20 grid points per hop
 BOX = FiniteParams(v0=0.5, w0=1.0, a=0.2, L=10.0, dx=0.01)
@@ -51,10 +52,9 @@ def test_zero_modes_all_sign_pairs(v0, w0):
     op = build_finite(box)
     for comp, labels, sign in (("A", EdgeLabels(n=3, m=1), -1.0),
                                ("B", EdgeLabels(n=5, m=2), +1.0)):
-        st = build_zero_mode(box, comp, labels).state
-        assert operator_residual(op, st) < 1e-10
-        psi = st.psi_a if comp == "A" else st.psi_b
-        fit = localization_fit(op.grid, psi, box.a)
+        mode = build_zero_mode(box, comp, labels)
+        assert operator_residual(op, mode) < 1e-10
+        fit = localization_fit(op.grid, mode.psi, box.a)
         assert fit.slope == pytest.approx(sign * RATE, rel=0.02)
 
 
@@ -82,7 +82,7 @@ def test_zero_mode_residual_property(case):
     # the analytic modes are kernel states of the box for every sign pair
     box, comp, labels = case
     mode = build_zero_mode(box, comp, labels)
-    assert operator_residual(build_finite(box), mode.state) < 1e-10
+    assert operator_residual(build_finite(box), mode) < 1e-10
     factor = -box.v0 / box.w0 if comp == "A" else -box.w0 / box.v0
     assert np.exp(mode.q * box.a) == pytest.approx(factor, rel=1e-12)
 
@@ -113,28 +113,26 @@ def test_analytic_modes_annihilated():
     op = build_finite(BOX)
     mode_a = build_zero_mode(BOX, "A", EdgeLabels(n=3, m=1))
     mode_b = build_zero_mode(BOX, "B", EdgeLabels(n=5, m=2))
-    assert operator_residual(op, mode_a.state) < 1e-10
-    assert operator_residual(op, mode_b.state) < 1e-10
-    # unit norm, support on a single sublattice
-    assert mode_a.state.norm() == pytest.approx(1.0)
-    assert np.all(mode_a.state.psi_b == 0.0)
-    assert np.all(mode_b.state.psi_a == 0.0)
+    assert operator_residual(op, mode_a) < 1e-10
+    assert operator_residual(op, mode_b) < 1e-10
+    # unit norm, one sample per grid point of the mode's own sublattice
+    assert norm(mode_a.psi) == pytest.approx(1.0)
+    assert mode_a.psi.shape == mode_b.psi.shape == (op.n_points,)
 
 
 def test_modes_vanish_at_walls():
     mode_a = build_zero_mode(BOX, "A", EdgeLabels(n=3, m=1))
     mode_b = build_zero_mode(BOX, "B", EdgeLabels(n=5, m=2))
-    for mode, comp in ((mode_a, "psi_a"), (mode_b, "psi_b")):
-        psi = getattr(mode.state, comp)
+    for psi in (mode_a.psi, mode_b.psi):
         peak = np.max(np.abs(psi))
         assert abs(psi[0]) < 1e-10 * peak
         assert abs(psi[-1]) < 1e-10 * peak
 
 
 def test_phase_branch_redundancy():
-    base = build_zero_mode(BOX, "A", EdgeLabels(n=3, m=1)).state.psi_a
-    plus2 = build_zero_mode(BOX, "A", EdgeLabels(n=3, m=3)).state.psi_a
-    plus1 = build_zero_mode(BOX, "A", EdgeLabels(n=3, m=2)).state.psi_a
+    base = build_zero_mode(BOX, "A", EdgeLabels(n=3, m=1)).psi
+    plus2 = build_zero_mode(BOX, "A", EdgeLabels(n=3, m=3)).psi
+    plus1 = build_zero_mode(BOX, "A", EdgeLabels(n=3, m=2)).psi
     assert np.allclose(plus2, base, atol=1e-12)  # m -> m+2 is the same state
     assert np.allclose(plus1, -base, atol=1e-12)  # m -> m+1 is a global sign
 
@@ -157,8 +155,7 @@ def test_modes_keep_the_phase_reference_of_exp_qx(hops, v0, w0):
     # into +-Im psi for an odd number of hops and flips its sign for 50
     box = FiniteParams(v0=v0, w0=w0, a=0.2, L=hops * 0.2, dx=0.01)
     for comp, labels in (("A", EdgeLabels(n=3, m=1)), ("B", EdgeLabels(n=5, m=2))):
-        state = build_zero_mode(box, comp, labels).state
-        psi = state.psi_a if comp == "A" else state.psi_b
+        psi = build_zero_mode(box, comp, labels).psi
         want = _mode_in_x(box, comp, labels)
         peak = np.max(np.abs(want))
         assert np.max(np.abs(psi.real - want.real)) <= 1e-10 * peak
@@ -180,10 +177,10 @@ def test_nyquist_edge_harmonic_vanishes_on_grid():
 def test_localization_slopes():
     op = build_finite(BOX)
     fit_a = localization_fit(
-        op.grid, build_zero_mode(BOX, "A", EdgeLabels(n=3, m=1)).state.psi_a, BOX.a
+        op.grid, build_zero_mode(BOX, "A", EdgeLabels(n=3, m=1)).psi, BOX.a
     )
     fit_b = localization_fit(
-        op.grid, build_zero_mode(BOX, "B", EdgeLabels(n=5, m=2)).state.psi_b, BOX.a
+        op.grid, build_zero_mode(BOX, "B", EdgeLabels(n=5, m=2)).psi, BOX.a
     )
     assert fit_a.n_peaks == 50
     assert fit_a.slope == pytest.approx(-RATE, rel=1e-6)
@@ -209,7 +206,7 @@ def test_localization_fit_matches_loop_reference():
     grid = make_grid(BOX)
     m = round(BOX.a / BOX.dx)
     assert grid.n % m != 0  # a partial window at the end is dropped
-    mode = build_zero_mode(BOX, "B", EdgeLabels(n=5, m=2)).state.psi_b
+    mode = build_zero_mode(BOX, "B", EdgeLabels(n=5, m=2)).psi
     leading_zeros = mode.copy()
     leading_zeros[: 3 * m + 7] = 0.0
     leading_zeros[20 * m : 21 * m] = 0.0
@@ -248,7 +245,7 @@ def test_localization_needs_enough_windows():
     small = FiniteParams(v0=0.5, w0=1.0, a=0.2, L=1.0, dx=0.01)
     mode = build_zero_mode(small, "A", EdgeLabels(n=3, m=1))
     with pytest.raises(ValidationError, match="need at least 10 envelope maxima, found 5"):
-        localization_fit(make_grid(small), mode.state.psi_a, small.a)
+        localization_fit(make_grid(small), mode.psi, small.a)
 
 
 def test_analytic_modes_live_in_numerical_kernel():
@@ -264,8 +261,8 @@ def test_analytic_modes_live_in_numerical_kernel():
         axis=1,
     )
     for comp, labels in (("A", EdgeLabels(n=3, m=1)), ("B", EdgeLabels(n=5, m=2))):
-        st = build_zero_mode(BOX, comp, labels).state
-        vec = np.concatenate([st.psi_a, st.psi_b])
+        psi = build_zero_mode(BOX, comp, labels).psi
+        vec = np.concatenate([psi, 0 * psi] if comp == "A" else [0 * psi, psi])
         remainder = vec - basis @ (basis.conj().T @ vec)
         assert np.linalg.norm(remainder) < 1e-6
 
@@ -287,7 +284,7 @@ def test_localization_fit_at_any_hop_length(capsys, a):
     assert result["fitted_slope_b"] == pytest.approx(q_b.real, rel=1e-12)
     if a == 1.0:
         grid = make_grid(params)
-        mode = build_zero_mode(params, "A", EdgeLabels(n=1, m=0)).state.psi_a
+        mode = build_zero_mode(params, "A", EdgeLabels(n=1, m=0)).psi
         fit = localization_fit(grid, mode, a)
         assert (fit.slope, fit.intercept) == _loop_localization_fit(grid, mode, a)[:2]
 
@@ -301,7 +298,7 @@ def test_edge_residual_at_any_coupling_magnitude(scale):
     unit = FiniteParams(v0=0.5, w0=1.0, a=1.0, L=20.0, dx=0.1)
     q_a, q_b = zero_mode_exponents(params)
     assert (q_a, q_b) == zero_mode_exponents(unit)
-    got = [operator_residual(build_finite(p), build_zero_mode(p, "A", EdgeLabels(1, 0)).state)
+    got = [operator_residual(build_finite(p), build_zero_mode(p, "A", EdgeLabels(1, 0)))
            for p in (params, unit)]
     assert got[1] == pytest.approx(8.26e-7, rel=1e-3)
     assert got[0] == pytest.approx(got[1] * scale, rel=1e-12)
@@ -321,11 +318,11 @@ def test_coupling_ratio_beyond_float64():
     # wall: it used to be refused as overflowing (ln|w0/v0|*L/a = 27631); its
     # tail now underflows to zeros, and one window of the envelope is left
     wide = FiniteParams(v0=1e-300, w0=1e300, a=1.0, L=20.0, dx=0.1)
-    mode = build_zero_mode(wide, "A", EdgeLabels(1, 0)).state
-    assert mode.norm() == pytest.approx(1.0, rel=1e-15)
-    assert np.count_nonzero(mode.psi_a) == 6 and np.all(mode.psi_a[:6] != 0.0)
+    mode = build_zero_mode(wide, "A", EdgeLabels(1, 0))
+    assert norm(mode.psi) == pytest.approx(1.0, rel=1e-15)
+    assert np.count_nonzero(mode.psi) == 6 and np.all(mode.psi[:6] != 0.0)
     with pytest.raises(ValidationError, match="need at least 10 envelope maxima, found 1"):
-        localization_fit(make_grid(wide), mode.psi_a, wide.a)
+        localization_fit(make_grid(wide), mode.psi, wide.a)
 
 
 def _edge_argv(a, L, dx):
@@ -363,3 +360,28 @@ def test_subnormal_hop_length_refused_by_name(capsys):
         zero_mode_exponents(FiniteParams(v0=0.5, w0=1.0, a=1.7e-308, L=3.4e-307, dx=1.7e-309))
     opposite = FiniteParams(v0=0.5, w0=-1.0, a=1.7e-308, L=3.4e-307, dx=1.7e-309)
     assert zero_mode_exponents(opposite)[0].imag == 0.0  # no phase rate to overflow
+
+
+def _exact_rate(v0, w0, a):
+    """ln|w0/v0|/a from the exact binary inputs, to 40 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return (Decimal(abs(w0)) / Decimal(abs(v0))).ln() / Decimal(a)
+
+
+@pytest.mark.parametrize("sv, sw", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_near_critical_exponent_keeps_full_precision(capsys, sv, sw):
+    # the log of the rounded ratio w0/v0 = 1 + 1.4e-10 was off by 6.7e-7 of
+    # Re q (-1.4285705950501824e-10, exit 0); log1p of the exact w0 - v0 over
+    # v0 is good to an ulp or two
+    v0, w0 = sv * 0.7, sw * 0.7000000001
+    want = _exact_rate(v0, w0, 1.0)
+    q_a, q_b = zero_mode_exponents(FiniteParams(v0=v0, w0=w0, a=1.0, L=20.0, dx=0.1))
+    argv = ["edge", f"--v0={v0!r}", f"--w0={w0!r}", "--a", "1", "--L", "20", "--dx", "0.1",
+            "--n-a", "1", "--n-b", "1"]
+    assert cli.main(argv) == 0
+    result = json.loads(capsys.readouterr().err.splitlines()[0])["result"]
+    for re_a, re_b in ((q_a.real, q_b.real), (result["q_a"]["re"], result["q_b"]["re"])):
+        assert re_a == -re_b
+        assert abs(Decimal(re_b) - want) <= Decimal("4e-16") * want
+    assert result["q_a"]["re"] == -1.428571546669918e-10

@@ -539,3 +539,29 @@ def test_smallest_level_has_full_relative_accuracy(n, m, ratio, exponent, signs)
     assume(want >= 2.2250738585072014e-308)  # until it underflows
     got = spectrum(build_finite(params)).eigenvalues[n * m]
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+# boxes whose chains of n cells sit on the edge-pair threshold n(|w0| - |v0|) = |v0|:
+# kappa = 0, the edge level |v0|/n and the linear edge state k
+THRESHOLD_BOXES = [
+    (1.0, 1.5, 2.0, 3.0, 1.0, 2),  # P = 4, m = 2: two 2-cell chains
+    (1.0, 1.25, 2.0, 7.0, 1.0, 4),  # P = 8, m = 2: two 4-cell chains
+    (1.0, 1.5, 4.0, 7.0, 1.0, 2),  # P = 8, m = 4: four 2-cell chains
+]
+
+
+@pytest.mark.parametrize("sv, sw", SIGNS)
+@pytest.mark.parametrize("v, w, a, L, dx, n", THRESHOLD_BOXES)
+def test_edge_pair_at_its_threshold(sv, sw, v, w, a, L, dx, n):
+    params = FiniteParams(v0=sv * v, w0=sw * w, a=a, L=L, dx=dx)
+    assert set(chain_cells(params)) == {n} and n * (w - v) == v
+    res = spectrum(build_finite(params))
+    p, m = params.n_points, params.hop_steps
+    dense = box_h(params)
+    assert np.max(np.abs(res.eigenvalues - np.linalg.eigvalsh(dense))) <= 1e-15 * w
+    assert res.residual_bound <= 1e-14
+    edge = res.eigenvalues[p - m: p + m]  # one +-level pair per chain
+    assert np.array_equal(np.abs(edge), np.full(2 * m, v / n))
+    for j in range(p - m, p + m):
+        psi = np.concatenate([res.vectors[j].psi_a, res.vectors[j].psi_b])
+        assert np.linalg.norm(dense @ psi - res.eigenvalues[j] * psi) <= 1e-14

@@ -1,7 +1,10 @@
 import dataclasses
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nonlocal_ssh.errors import ValidationError
 from nonlocal_ssh.model import (
@@ -9,7 +12,9 @@ from nonlocal_ssh.model import (
     FiniteParams,
     SpinorGrid,
     band_sign,
+    log_ratio,
     make_grid,
+    norm,
     wrap_angle,
 )
 
@@ -104,3 +109,29 @@ def test_spinor_grid_checks():
     assert s.norm() == pytest.approx(np.sqrt(g.n))
     with pytest.raises(ValidationError, match="spinor components must have shape"):
         SpinorGrid(grid=g, psi_a=psi, psi_b=np.ones(g.n + 1))
+
+
+def _magnitudes():
+    return st.floats(-320.0, 308.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_magnitudes(), st.one_of(_magnitudes(), st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)),
+       st.sampled_from([1.0, -1.0]), st.booleans())
+def test_log_ratio_to_a_few_ulps(v, factor, sign, near):
+    # against ln(|w|/|v|) from the exact binary inputs to 40 digits; ratios
+    # near 1 (w = v * 10^e, |e| <= 3) and ratios beyond float64 included
+    w = v * factor if near else factor
+    assume(w != 0.0 and np.isfinite(w))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        want = (Decimal(abs(w)) / Decimal(v)).ln()
+    got = log_ratio(sign * v, w)
+    assert abs(Decimal(got) - want) <= 4 * Decimal(float(np.finfo(float).eps)) * abs(want), (v, w)
+
+
+def test_norm_takes_any_magnitude():
+    # the sum of squares would overflow at 1e200 and underflow at 1e-200
+    for scale in (1e-200, 1.0, 1e200):
+        assert norm(scale * np.ones(4), [3j * scale]) == pytest.approx(np.sqrt(13.0) * scale, rel=1e-15)
+    assert norm(np.zeros(3)) == 0.0 and norm(np.empty(0)) == 0.0

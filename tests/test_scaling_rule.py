@@ -243,7 +243,7 @@ def test_localization_fit_keeps_its_bits(a):
     # power, and polyfit's column scaling makes the two slopes agree bit for bit
     params = FiniteParams(v0=0.5, w0=1.0, a=a, L=20 * a, dx=a / 10)
     grid = make_grid(params)
-    mode = build_zero_mode(params, "B", EdgeLabels(n=1, m=0)).state.psi_b
+    mode = build_zero_mode(params, "B", EdgeLabels(n=1, m=0)).psi
     s = math.ldexp(1.0, math.frexp(a)[1])
     peaks = np.abs(mode)[:200].reshape(20, 10).max(axis=1)
     locs = grid.x[np.arange(20) * 10 + np.abs(mode)[:200].reshape(20, 10).argmax(axis=1)]
