@@ -36,7 +36,7 @@ from .finite import (
     compare_ssh,
     spectrum,
 )
-from .model import BulkParams, FiniteParams, Grid, SpinorGrid, make_grid
+from .model import BulkParams, FiniteParams
 
 __version__ = "0.1.0"
 
@@ -47,11 +47,9 @@ __all__ = [
     "EdgeLabels",
     "FiniteOperator",
     "FiniteParams",
-    "Grid",
     "ModelError",
     "NumericalError",
     "SpectrumResult",
-    "SpinorGrid",
     "ValidationError",
     "ZakResult",
     "ZeroModeAnalytic",
@@ -63,7 +61,6 @@ __all__ = [
     "compare_ssh",
     "energy_bands",
     "localization_fit",
-    "make_grid",
     "operator_residual",
     "phase_phi",
     "spectrum",

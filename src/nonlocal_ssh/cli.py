@@ -238,7 +238,7 @@ def _cmd_finite(args) -> int:
     params = _params(args, FiniteParams)
     if args.vectors and not args.out:
         raise ValidationError("--vectors needs --out to place per-state files")
-    finite.check_levels(params)  # before the grid is allocated
+    finite.check_levels(params)  # a box above MAX_LEVELS is refused before its zero window
     op = finite.build_finite(params)
     tol_abs = _zero_window(args, params)
     res = finite.spectrum(op)
@@ -253,12 +253,11 @@ def _cmd_finite(args) -> int:
     if args.vectors:
         base = Path(args.out)
         # res.vectors builds a state only when indexed: only midgap ones here
+        x = params.grid_x()
         for j in np.flatnonzero(np.abs(res.eigenvalues) < tol_abs):
-            state = res.vectors[j]
-            st = Table(
-                columns=["x", "abs_psi_a", "abs_psi_b"],
-                rows=np.column_stack([op.grid.x, np.abs(state.psi_a), np.abs(state.psi_b)]),
-            )
+            psi_a, psi_b = res.vectors[j]
+            st = Table(columns=["x", "abs_psi_a", "abs_psi_b"],
+                       rows=np.column_stack([x, np.abs(psi_a), np.abs(psi_b)]))
             name = base.with_name(f"{base.stem}-state-{j:04d}{base.suffix or '.csv'}")
             with _replacing(name) as fh:
                 emit_csv(st, fh)
@@ -290,12 +289,12 @@ def _cmd_edge(args) -> int:
     mode_b = edge.build_zero_mode(params, "B", edge.EdgeLabels(n=args.n_b, m=args.m_b))
     res_a = edge.operator_residual(op, mode_a)
     res_b = edge.operator_residual(op, mode_b)
-    fit_a = edge.localization_fit(op.grid, mode_a.psi, params.a)
-    fit_b = edge.localization_fit(op.grid, mode_b.psi, params.a)
+    fit_a = edge.localization_fit(params, mode_a.psi)
+    fit_b = edge.localization_fit(params, mode_b.psi)
     table = Table(
         columns=["x", "abs_psi_a", "abs_psi_b", "re_psi_a", "re_psi_b"],
         rows=np.column_stack([
-            op.grid.x,
+            params.grid_x(),
             np.abs(mode_a.psi), np.abs(mode_b.psi),
             np.real(mode_a.psi), np.real(mode_b.psi),
         ]),

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .finite import FiniteOperator
-from .model import FiniteParams, Grid, log_ratio, norm, power_of_two
+from .finite import FiniteOperator, check_levels
+from .model import FiniteParams, log_ratio, norm, power_of_two
 
 COMPONENTS = ("A", "B")
 _ETA = {"A": -1.0, "B": 1.0}
@@ -121,9 +121,10 @@ def build_zero_mode(params: FiniteParams, component: str, labels: EdgeLabels) ->
     factor is at most 1, and a tail beyond float64 underflows to zeros.
 
     Raises ValidationError outside the topological phase (|v0| >= |w0|),
-    where the box has no zero modes, and when the sampled oscillatory factor
+    where the box has no zero modes, when the sampled oscillatory factor
     vanishes at every grid point, which happens for the Nyquist-edge
-    harmonic on boxes with integer L/a.
+    harmonic on boxes with integer L/a, and, before anything P-sized is
+    allocated, for a box above finite.MAX_LEVELS levels.
     """
     if component not in COMPONENTS:
         raise ValidationError(f"component must be one of {COMPONENTS}, got {component!r}")
@@ -135,6 +136,7 @@ def build_zero_mode(params: FiniteParams, component: str, labels: EdgeLabels) ->
         )
     q = q_a if component == "A" else q_b
     phi = phase_label(labels.n, labels.m, params)
+    check_levels(params)
     p = params.n_points
     t = (np.arange(p) - 0.5 * (p - 1)) / params.hop_steps  # x/a
     osc = np.cos(2.0 * np.pi * labels.n * t + phi)
@@ -171,10 +173,10 @@ class LocalizationFit:
     n_peaks: int
 
 
-def localization_fit(grid: Grid, values: np.ndarray, a: float) -> LocalizationFit:
-    """Fit the decay rate of |values| from its maxima over windows of width a.
+def localization_fit(params: FiniteParams, values: np.ndarray) -> LocalizationFit:
+    """Fit the decay rate of |values| on the box's grid from its maxima over windows of width a.
 
-    The grid is cut into consecutive windows of a/dx points; the largest
+    The grid is cut into consecutive windows of m = a/dx points; the largest
     magnitude in each window and its position enter an ordinary
     least-squares line through (x/s, log |psi|), where s is a's
     power_of_two: the division is exact, so the slope is the fitted one
@@ -184,20 +186,20 @@ def localization_fit(grid: Grid, values: np.ndarray, a: float) -> LocalizationFi
     least MIN_PEAKS such windows.
     """
     values = np.asarray(values)
-    if values.shape != (grid.n,):
-        raise ValidationError(f"values must have shape ({grid.n},), got {values.shape}")
-    m = max(1, round(a / grid.dx))
-    k = grid.n // m  # full windows; a shorter tail is dropped
+    p, m = params.n_points, params.hop_steps
+    if values.shape != (p,):
+        raise ValidationError(f"values must have shape ({p},), got {values.shape}")
+    k = p // m  # full windows; a shorter tail is dropped
     windows = np.abs(values)[: k * m].reshape(k, m)
     j = np.argmax(windows, axis=1)
     peaks = windows[np.arange(k), j]
     keep = peaks >= sys.float_info.min
     peaks = peaks[keep]
-    locs = grid.x[(np.arange(k) * m + j)[keep]]
+    locs = params.grid_x((np.arange(k) * m + j)[keep])
     if len(peaks) < MIN_PEAKS:
         raise ValidationError(
             f"need at least {MIN_PEAKS} envelope maxima, found {len(peaks)}"
         )
-    s = power_of_two(a)
+    s = power_of_two(params.a)
     slope, intercept = np.polyfit(locs / s, np.log(peaks), 1)
     return LocalizationFit(slope=float(slope) / s, intercept=float(intercept), n_peaks=len(peaks))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import FiniteParams, Grid, SpinorGrid, make_grid, power_of_two, scale_back
+from .model import FiniteParams, power_of_two, scale_back
 
 # relative (to |w0|) half-width of the "zero energy" window
 ZERO_TOL_DEFAULT = 1e-8
@@ -99,32 +99,19 @@ class FiniteOperator:
     """
 
     params: FiniteParams
-    grid: Grid
     c_block: HopBlock
 
     @property
     def n_points(self) -> int:
-        return self.grid.n
+        return self.params.n_points
 
     @property
     def dimension(self) -> int:
-        return 2 * self.grid.n
+        return 2 * self.params.n_points
 
     @property
     def hop_steps(self) -> int:
         return self.params.hop_steps
-
-    def apply(self, spinor: SpinorGrid) -> SpinorGrid:
-        """H acting on a sampled spinor."""
-        if spinor.grid.n != self.grid.n:
-            raise ValidationError(
-                f"spinor lives on {spinor.grid.n} points, operator on {self.grid.n}"
-            )
-        return SpinorGrid(
-            grid=self.grid,
-            psi_a=self.c_block @ spinor.psi_b,
-            psi_b=self.c_block.T @ spinor.psi_a,
-        )
 
 
 def build_finite(params: FiniteParams) -> FiniteOperator:
@@ -135,26 +122,26 @@ def build_finite(params: FiniteParams) -> FiniteOperator:
     coupling profile outside [-L/2, L/2] dictates.
     """
     c = HopBlock(params.v0, params.w0, params.hop_steps, params.n_points)
-    return FiniteOperator(params=params, grid=make_grid(params), c_block=c)
+    return FiniteOperator(params=params, c_block=c)
 
 
 @dataclass
 class SpectrumResult:
     """Sorted eigenvalues, the eigenstates, and the measured residual bound.
 
-    vectors is a read-only sequence of 2P states that builds each
-    SpinorGrid only when it is indexed.
+    vectors is a read-only sequence of 2P states that builds each one, a
+    real (psi_a, psi_b) pair of float64 arrays, only when it is indexed.
     """
 
     eigenvalues: np.ndarray
-    vectors: Sequence[SpinorGrid]
+    vectors: Sequence[tuple[np.ndarray, np.ndarray]]
     residual_bound: float
 
 
 class _LazyStates(Sequence):
     """Eigenstates of the given levels, each built on access; a slice is another such view."""
 
-    def __init__(self, levels: range, build: Callable[[int], SpinorGrid]):
+    def __init__(self, levels: range, build: Callable[[int], tuple[np.ndarray, np.ndarray]]):
         self._levels = levels
         self._build = build
 
@@ -270,8 +257,7 @@ def spectrum(op: FiniteOperator) -> SpectrumResult:
     evals, states = _chain_eigensystem(op)
     return SpectrumResult(
         eigenvalues=evals,
-        vectors=_LazyStates(range(op.dimension),
-                            lambda j: SpinorGrid(op.grid, *(s[:, 0] for s in states([j])))),
+        vectors=_LazyStates(range(op.dimension), lambda j: tuple(s[:, 0] for s in states([j]))),
         residual_bound=_sampled_residual(op, evals, states),
     )
 

@@ -1,4 +1,4 @@
-"""Parameter sets, grids, and the grid spinor container.
+"""Parameter sets, their grid, and the shared magnitude rule.
 
 The model lives on two sublattices A and B. In the bulk it is parametrized
 by (v, w, a): v is the local A-B coupling, w the non-local coupling acting
@@ -155,42 +155,8 @@ class FiniteParams:
         """P = L/dx + 1 grid points per sublattice."""
         return round(self.L / self.dx) + 1
 
-
-@dataclass(frozen=True)
-class Grid:
-    """Uniform grid x_i = -L/2 + i*dx, symmetric about the origin."""
-
-    x: np.ndarray
-    dx: float
-
-    @property
-    def n(self) -> int:
-        return self.x.size
-
-
-def make_grid(params: FiniteParams) -> Grid:
-    p = params.n_points
-    x = -0.5 * params.L + params.dx * np.arange(p)
-    return Grid(x=x, dx=params.dx)
-
-
-@dataclass
-class SpinorGrid:
-    """Two-component wavefunction sampled on a grid (one value per sublattice)."""
-
-    grid: Grid
-    psi_a: np.ndarray
-    psi_b: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.psi_a = np.asarray(self.psi_a, dtype=complex)
-        self.psi_b = np.asarray(self.psi_b, dtype=complex)
-        if self.psi_a.shape != (self.grid.n,) or self.psi_b.shape != (self.grid.n,):
-            raise ValidationError(
-                f"spinor components must have shape ({self.grid.n},), "
-                f"got {self.psi_a.shape} and {self.psi_b.shape}"
-            )
-
-    def norm(self) -> float:
-        """Euclidean norm of both components (model.norm)."""
-        return norm(self.psi_a, self.psi_b)
+    def grid_x(self, index=None) -> np.ndarray:
+        """x_i = -L/2 + i*dx at the given grid indices, all P of them by default."""
+        if index is None:
+            index = np.arange(self.n_points)
+        return -0.5 * self.L + self.dx * index

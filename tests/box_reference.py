@@ -5,15 +5,13 @@ package's HopBlock, so a solver compared against them is compared against
 an independent construction of H. The box's levels also come chain by
 chain: residue class r of the P grid points mod m is an open chain of
 len(range(r, P, m)) cells, whose levels are +- the singular values of its
-block. The symmetry identities act through the operator's O(P) apply() on
-a random spinor, at any box size.
+block. The symmetry identities act through the operator's own c_block and
+its transpose, O(P) for a HopBlock, on a random spinor, at any box size.
 """
 
 import math
 
 import numpy as np
-
-from nonlocal_ssh.model import SpinorGrid
 
 
 def reference_c(v0, w0, m, p):
@@ -69,7 +67,7 @@ def reference_levels(v0, w0, cells):
 
 
 def symmetry_defects(op, seed=0):
-    """Largest entries of {H, Sz} psi and [H, X] psi, both through op.apply.
+    """Largest entries of {H, Sz} psi and [H, X] psi, H applied as (C psi_b, C^T psi_a).
 
     psi is a random complex spinor; Sz psi = (psi_a, -psi_b) and
     X psi = (rev psi_b, rev psi_a). A defect is 0.0 exactly when the
@@ -78,10 +76,13 @@ def symmetry_defects(op, seed=0):
     rng = np.random.default_rng(seed)
     p = op.n_points
     psi_a, psi_b = (rng.normal(size=p) + 1j * rng.normal(size=p) for _ in range(2))
-    h = op.apply(SpinorGrid(op.grid, psi_a, psi_b))
-    h_sz = op.apply(SpinorGrid(op.grid, psi_a, -psi_b))
-    h_x = op.apply(SpinorGrid(op.grid, psi_b[::-1], psi_a[::-1]))
-    chiral = max(np.max(np.abs(h_sz.psi_a + h.psi_a)), np.max(np.abs(h_sz.psi_b - h.psi_b)))
-    parity = max(np.max(np.abs(h_x.psi_a - h.psi_b[::-1])),
-                 np.max(np.abs(h_x.psi_b - h.psi_a[::-1])))
+
+    def h(a, b):
+        return op.c_block @ b, op.c_block.T @ a
+
+    h_a, h_b = h(psi_a, psi_b)
+    sz_a, sz_b = h(psi_a, -psi_b)
+    x_a, x_b = h(psi_b[::-1], psi_a[::-1])
+    chiral = max(np.max(np.abs(sz_a + h_a)), np.max(np.abs(sz_b - h_b)))
+    parity = max(np.max(np.abs(x_a - h_b[::-1])), np.max(np.abs(x_b - h_a[::-1])))
     return float(chiral), float(parity)

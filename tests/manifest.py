@@ -116,6 +116,7 @@ EXTREME = [
     "edge --v0 0.5 --w0 1 --a 1e307 --L 1.6e308 --dx 1e306 --n-a 1 --n-b 1",
     "edge --v0 0.5 --w0 1 --a 1e-310 --L 2e-309 --dx 1e-311 --n-a 1 --n-b 1",
     "edge --v0 0.5 --w0 1 --a 0.1 --L 150 --dx 0.01 --n-a 1 --n-b 1",
+    "edge --v0 0.5 --w0 1 --a 2 --L 2e20 --dx 1 --n-a 1 --n-b 1",
 ]
 
 COMMANDS = list(dict.fromkeys(README + BOXES + EDGE + BULK + EXTREME))  # each line once

@@ -140,7 +140,7 @@ def test_criterion_7_edge_modes():
         assert operator_residual(op, mode) < 1e-10
         peak = np.max(np.abs(psi))
         assert abs(psi[0]) < 1e-10 * peak and abs(psi[-1]) < 1e-10 * peak
-        fit = localization_fit(op.grid, psi, BOX.a)
+        fit = localization_fit(BOX, psi)
         assert fit.slope == pytest.approx(sign * rate, rel=0.02)
     _ok(7, f"residuals < 1e-10; walls clean; slopes within 2% of +-{rate:.3f}")
 

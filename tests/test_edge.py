@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -18,8 +19,8 @@ from nonlocal_ssh.edge import (
     zero_mode_exponents,
 )
 from nonlocal_ssh.errors import ValidationError
-from nonlocal_ssh.finite import build_finite, spectrum
-from nonlocal_ssh.model import FiniteParams, make_grid, norm
+from nonlocal_ssh.finite import MAX_LEVELS, build_finite, spectrum
+from nonlocal_ssh.model import FiniteParams, norm
 
 # the standard box geometry: 50 hop lengths across, 20 grid points per hop
 BOX = FiniteParams(v0=0.5, w0=1.0, a=0.2, L=10.0, dx=0.01)
@@ -54,7 +55,7 @@ def test_zero_modes_all_sign_pairs(v0, w0):
                                ("B", EdgeLabels(n=5, m=2), +1.0)):
         mode = build_zero_mode(box, comp, labels)
         assert operator_residual(op, mode) < 1e-10
-        fit = localization_fit(op.grid, mode.psi, box.a)
+        fit = localization_fit(box, mode.psi)
         assert fit.slope == pytest.approx(sign * RATE, rel=0.02)
 
 
@@ -140,7 +141,7 @@ def test_phase_branch_redundancy():
 def _mode_in_x(params, component, labels):
     """osc(x) * exp(q x), normalized: the mode as built in x, before hop units."""
     q_a, q_b = zero_mode_exponents(params)
-    x = make_grid(params).x
+    x = params.grid_x()
     phase = 2.0 * np.pi * labels.n * x / params.a + phase_label(labels.n, labels.m, params)
     psi = np.cos(phase) * np.exp((q_a if component == "A" else q_b) * x)
     return psi / np.linalg.norm(psi)
@@ -175,47 +176,41 @@ def test_nyquist_edge_harmonic_vanishes_on_grid():
 
 
 def test_localization_slopes():
-    op = build_finite(BOX)
-    fit_a = localization_fit(
-        op.grid, build_zero_mode(BOX, "A", EdgeLabels(n=3, m=1)).psi, BOX.a
-    )
-    fit_b = localization_fit(
-        op.grid, build_zero_mode(BOX, "B", EdgeLabels(n=5, m=2)).psi, BOX.a
-    )
+    fit_a = localization_fit(BOX, build_zero_mode(BOX, "A", EdgeLabels(n=3, m=1)).psi)
+    fit_b = localization_fit(BOX, build_zero_mode(BOX, "B", EdgeLabels(n=5, m=2)).psi)
     assert fit_a.n_peaks == 50
     assert fit_a.slope == pytest.approx(-RATE, rel=1e-6)
     assert fit_b.slope == pytest.approx(+RATE, rel=1e-6)
 
 
-def _loop_localization_fit(grid, values, a):
-    # the per-window loop the vectorized fit replaced
-    m = max(1, round(a / grid.dx))
+def _loop_localization_fit(params, values):
+    # the per-window loop the vectorized fit replaced, on the full grid
+    m, x = params.hop_steps, params.grid_x()
     mags = np.abs(values)
     peaks, locs = [], []
-    for start in range(0, grid.n - m + 1, m):
+    for start in range(0, x.size - m + 1, m):
         block = mags[start : start + m]
         j = int(np.argmax(block))
         if block[j] > 0.0:
             peaks.append(block[j])
-            locs.append(grid.x[start + j])
+            locs.append(x[start + j])
     slope, intercept = np.polyfit(locs, np.log(peaks), 1)
     return float(slope), float(intercept), len(peaks)
 
 
 def test_localization_fit_matches_loop_reference():
-    grid = make_grid(BOX)
-    m = round(BOX.a / BOX.dx)
-    assert grid.n % m != 0  # a partial window at the end is dropped
+    p, m = BOX.n_points, BOX.hop_steps
+    assert p % m != 0  # a partial window at the end is dropped
     mode = build_zero_mode(BOX, "B", EdgeLabels(n=5, m=2)).psi
     leading_zeros = mode.copy()
     leading_zeros[: 3 * m + 7] = 0.0
     leading_zeros[20 * m : 21 * m] = 0.0
-    ties = np.random.default_rng(5).integers(0, 3, grid.n).astype(float)  # many equal maxima
+    ties = np.random.default_rng(5).integers(0, 3, p).astype(float)  # many equal maxima
     ties[: 2 * m] = 0.0
     for values in (mode, leading_zeros, ties, -1j * mode):
-        fit = localization_fit(grid, values, BOX.a)
-        assert (fit.slope, fit.intercept, fit.n_peaks) == _loop_localization_fit(grid, values, BOX.a)
-    assert localization_fit(grid, leading_zeros, BOX.a).n_peaks == grid.n // m - 4
+        fit = localization_fit(BOX, values)
+        assert (fit.slope, fit.intercept, fit.n_peaks) == _loop_localization_fit(BOX, values)
+    assert localization_fit(BOX, leading_zeros).n_peaks == p // m - 4
 
 
 def test_localization_flat_at_equal_couplings():
@@ -223,9 +218,9 @@ def test_localization_flat_at_equal_couplings():
     # here from its exponent, has a flat envelope
     flat = FiniteParams(v0=1.0, w0=1.0, a=0.2, L=10.0, dx=0.01)
     q_a, _ = zero_mode_exponents(flat)
-    x = make_grid(flat).x
+    x = flat.grid_x()
     values = np.cos(2.0 * np.pi * 3 * x / flat.a + phase_label(3, 1, flat)) * np.exp(q_a * x)
-    fit = localization_fit(make_grid(flat), values, flat.a)
+    fit = localization_fit(flat, values)
     assert abs(fit.slope) < 1e-8
 
 
@@ -241,11 +236,35 @@ def test_no_zero_modes_outside_the_topological_phase(v0, w0):
             build_zero_mode(box, comp, EdgeLabels(n=3, m=1))
 
 
+def test_levels_guard(capsys):
+    # a box above MAX_LEVELS is refused as finite and compare-ssh refuse it,
+    # before anything P-sized is allocated: one grid point past the ceiling
+    # (about 260 MB of edge table), and L/dx = 2e20, which no array can hold
+    above = FiniteParams(v0=0.5, w0=1.0, a=2.0, L=2.0**21, dx=1.0)
+    argv = ["edge", "--v0", "0.5", "--w0", "1", "--a", "2", "--L", "2e20", "--dx", "1",
+            "--n-a", "1", "--n-b", "1"]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as err:
+            build_zero_mode(above, "A", EdgeLabels(n=1, m=0))
+        code = cli.main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (f"the box --L = 2097152.0, --dx = 1.0 has {MAX_LEVELS + 2} levels, "
+                              f"above the ceiling MAX_LEVELS = {MAX_LEVELS}")
+    out, stderr = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert stderr == (f"error: the box --L = 2e+20, --dx = 1.0 has {4 * 10**20 + 2} levels, "
+                      f"above the ceiling MAX_LEVELS = {MAX_LEVELS}\n")
+    assert peak < 1_000_000
+
+
 def test_localization_needs_enough_windows():
     small = FiniteParams(v0=0.5, w0=1.0, a=0.2, L=1.0, dx=0.01)
     mode = build_zero_mode(small, "A", EdgeLabels(n=3, m=1))
     with pytest.raises(ValidationError, match="need at least 10 envelope maxima, found 5"):
-        localization_fit(make_grid(small), mode.psi, small.a)
+        localization_fit(small, mode.psi)
 
 
 def test_analytic_modes_live_in_numerical_kernel():
@@ -257,7 +276,7 @@ def test_analytic_modes_live_in_numerical_kernel():
     idx = np.where(np.abs(res.eigenvalues) < tol)[0]
     assert idx.size == 40
     basis = np.stack(
-        [np.concatenate([res.vectors[j].psi_a, res.vectors[j].psi_b]) for j in idx],
+        [np.concatenate(res.vectors[j]) for j in idx],
         axis=1,
     )
     for comp, labels in (("A", EdgeLabels(n=3, m=1)), ("B", EdgeLabels(n=5, m=2))):
@@ -283,10 +302,9 @@ def test_localization_fit_at_any_hop_length(capsys, a):
     assert result["fitted_slope_a"] == pytest.approx(q_a.real, rel=1e-12)
     assert result["fitted_slope_b"] == pytest.approx(q_b.real, rel=1e-12)
     if a == 1.0:
-        grid = make_grid(params)
         mode = build_zero_mode(params, "A", EdgeLabels(n=1, m=0)).psi
-        fit = localization_fit(grid, mode, a)
-        assert (fit.slope, fit.intercept) == _loop_localization_fit(grid, mode, a)[:2]
+        fit = localization_fit(params, mode)
+        assert (fit.slope, fit.intercept) == _loop_localization_fit(params, mode)[:2]
 
 
 @pytest.mark.filterwarnings("error")
@@ -322,7 +340,7 @@ def test_coupling_ratio_beyond_float64():
     assert norm(mode.psi) == pytest.approx(1.0, rel=1e-15)
     assert np.count_nonzero(mode.psi) == 6 and np.all(mode.psi[:6] != 0.0)
     with pytest.raises(ValidationError, match="need at least 10 envelope maxima, found 1"):
-        localization_fit(make_grid(wide), mode.psi, wide.a)
+        localization_fit(wide, mode.psi)
 
 
 def _edge_argv(a, L, dx):

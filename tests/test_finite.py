@@ -30,7 +30,7 @@ from nonlocal_ssh.finite import (
     spectrum,
     zero_mode_count,
 )
-from nonlocal_ssh.model import FiniteParams, SpinorGrid, make_grid
+from nonlocal_ssh.model import FiniteParams
 
 RNG = np.random.default_rng(31)
 
@@ -69,19 +69,19 @@ def test_negation_closure_is_exact():
     assert np.array_equal(ev, -ev[::-1])
 
 
-def test_apply_matches_recursion():
+def test_hop_block_matches_recursion():
     op = build_finite(SMALL)
     p, m = op.n_points, op.hop_steps
     psi_a = RNG.normal(size=p) + 1j * RNG.normal(size=p)
     psi_b = RNG.normal(size=p) + 1j * RNG.normal(size=p)
-    out = op.apply(SpinorGrid(grid=op.grid, psi_a=psi_a, psi_b=psi_b))
-    # A row couples psi_B at x and x - a, B row couples psi_A at x and x + a
+    # H (psi_a, psi_b) = (C psi_b, C^T psi_a): the A row couples psi_B at x
+    # and x - a, the B row couples psi_A at x and x + a
     want_a = SMALL.v0 * psi_b.copy()
     want_a[m:] += SMALL.w0 * psi_b[:-m]
     want_b = SMALL.v0 * psi_a.copy()
     want_b[:-m] += SMALL.w0 * psi_a[m:]
-    assert np.allclose(out.psi_a, want_a, atol=1e-13)
-    assert np.allclose(out.psi_b, want_b, atol=1e-13)
+    assert np.allclose(op.c_block @ psi_b, want_a, atol=1e-13)
+    assert np.allclose(op.c_block.T @ psi_a, want_b, atol=1e-13)
 
 
 def test_spectrum_vectors_are_eigenvectors():
@@ -90,8 +90,11 @@ def test_spectrum_vectors_are_eigenvectors():
     h = box_h(SMALL)
     assert len(res.vectors) == op.dimension
     for j in range(op.dimension):
-        st = res.vectors[j]
-        vec = np.concatenate([st.psi_a, st.psi_b])
+        psi_a, psi_b = res.vectors[j]
+        # a real standing wave: two float64 arrays, one per sublattice
+        assert psi_a.dtype == psi_b.dtype == np.float64
+        assert psi_a.shape == psi_b.shape == (op.n_points,)
+        vec = np.concatenate([psi_a, psi_b])
         assert np.linalg.norm(h @ vec - res.eigenvalues[j] * vec) < 1e-12
 
 
@@ -105,10 +108,9 @@ def test_spectrum_vectors_slice_like_a_sequence():
         want = levels[sl]
         assert len(part) == len(want)
         for state, j in zip(part, want):
-            assert np.array_equal(state.psi_a, res.vectors[j].psi_a)
-            assert np.array_equal(state.psi_b, res.vectors[j].psi_b)
+            assert np.array_equal(state, res.vectors[j])
     assert len(res.vectors[1:3][::-1]) == 2
-    assert np.array_equal(res.vectors[1:3][-1].psi_a, res.vectors[2].psi_a)
+    assert np.array_equal(res.vectors[1:3][-1], res.vectors[2])
     for j in (dim, -dim - 1):
         with pytest.raises(IndexError):
             res.vectors[j]
@@ -196,14 +198,13 @@ def test_build_finite_stores_hop_block():
 
 
 def test_symmetry_identities_exact_on_large_box():
-    # P = 40001: apply() serves this box in O(P), and both identities hold
-    # bit for bit
+    # P = 40001: the HopBlock serves this box in O(P), and both identities
+    # hold bit for bit
     op = build_finite(FiniteParams(v0=0.5, w0=1.0, a=0.2, L=400.0, dx=0.01))
     assert op.n_points == 40001
     assert symmetry_defects(op) == (0.0, 0.0)
-    ones = np.ones(op.n_points)
-    out = op.apply(SpinorGrid(grid=op.grid, psi_a=ones, psi_b=ones))
-    assert out.psi_a[0] == 0.5 and out.psi_a[-1] == 1.5
+    out = op.c_block @ np.ones(op.n_points)
+    assert out[0] == 0.5 and out[-1] == 1.5
 
 
 def _sturm_counts(v, w, n_cells, energies):
@@ -247,12 +248,12 @@ def test_chain_block_guard_refuses_long_chains():
 def test_levels_guard():
     # the largest admitted box has MAX_LEVELS levels; one more grid point is
     # refused, naming --L, --dx and the level count, before anything is
-    # allocated (spectrum checks the parameters, not the operator's grid)
+    # allocated (spectrum checks the parameters, not the operator's c_block)
     at_ceiling = FiniteParams(v0=0.5, w0=1.0, a=1.0, L=MAX_LEVELS // 2 - 1.0, dx=1.0)
     above = FiniteParams(v0=0.5, w0=1.0, a=1.0, L=MAX_LEVELS // 2 * 1.0, dx=1.0)
     assert 2 * at_ceiling.n_points == MAX_LEVELS
     check_levels(at_ceiling)
-    op = FiniteOperator(params=above, grid=make_grid(SMALL), c_block=HopBlock(1.0, 1.0, 1, 3))
+    op = FiniteOperator(params=above, c_block=HopBlock(1.0, 1.0, 1, 3))
     message = (f"the box --L = 2097152.0, --dx = 1.0 has {MAX_LEVELS + 2} levels, "
                f"above the ceiling MAX_LEVELS = {MAX_LEVELS}")
     tracemalloc.start()
@@ -302,7 +303,7 @@ def _hop_operators(draw):
     v0 = sign_v * draw(st.floats(1e-3, 1e3))
     w0 = sign_w * draw(st.floats(1e-3, 1e3))
     params = FiniteParams(v0=v0, w0=w0, a=0.1, L=(p - 1) * 0.1, dx=0.1)
-    return FiniteOperator(params=params, grid=make_grid(params), c_block=HopBlock(v0, w0, m, p))
+    return FiniteOperator(params=params, c_block=HopBlock(v0, w0, m, p))
 
 
 @settings(max_examples=100, deadline=None)
@@ -319,7 +320,7 @@ def _extra_hop_operator():
     p = SMALL
     c = reference_c(p.v0, p.w0, p.hop_steps, p.n_points)
     c[0, 1] += 0.5
-    return FiniteOperator(params=p, grid=make_grid(p), c_block=c)
+    return FiniteOperator(params=p, c_block=c)
 
 
 def test_symmetry_detects_broken_parity():
@@ -349,11 +350,7 @@ def _eigensystem(op, method):
         evals, pair = _dense_eigensystem(op)
         return evals, pair, _sampled_residual(op, evals, pair)
     res = spectrum(op)
-
-    def pair(j):
-        return res.vectors[j].psi_a, res.vectors[j].psi_b
-
-    return res.eigenvalues, pair, res.residual_bound
+    return res.eigenvalues, lambda j: res.vectors[j], res.residual_bound
 
 
 def test_residual_bound_measured_on_operator_c_block():
@@ -468,8 +465,7 @@ def test_batched_states_have_the_bits_of_single_ones():
         levels = np.arange(op.dimension)
         psi_a, psi_b = states(levels)
         for j in levels:
-            assert np.array_equal(psi_a[:, j], res.vectors[j].psi_a.real)
-            assert np.array_equal(psi_b[:, j], res.vectors[j].psi_b.real)
+            assert np.array_equal((psi_a[:, j], psi_b[:, j]), res.vectors[j])
 
 
 @st.composite
@@ -519,7 +515,7 @@ def test_chain_levels_match_svd_at_every_scale(params):
     assert np.all(res.eigenvalues[1:] >= res.eigenvalues[:-1])
     assert res.residual_bound <= 1e-12 * norm + 16 * op.n_points * 2.0**-1074
     for j in (0, op.n_points - 1, op.n_points, 2 * op.n_points - 1):
-        assert np.linalg.norm(res.vectors[j].psi_a) ** 2 * 2 == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(res.vectors[j][0]) ** 2 * 2 == pytest.approx(1.0, abs=1e-14)
 
 
 @settings(max_examples=200, deadline=None)
@@ -563,5 +559,5 @@ def test_edge_pair_at_its_threshold(sv, sw, v, w, a, L, dx, n):
     edge = res.eigenvalues[p - m: p + m]  # one +-level pair per chain
     assert np.array_equal(np.abs(edge), np.full(2 * m, v / n))
     for j in range(p - m, p + m):
-        psi = np.concatenate([res.vectors[j].psi_a, res.vectors[j].psi_b])
+        psi = np.concatenate(res.vectors[j])
         assert np.linalg.norm(dense @ psi - res.eigenvalues[j] * psi) <= 1e-14

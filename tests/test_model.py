@@ -10,10 +10,8 @@ from nonlocal_ssh.errors import ValidationError
 from nonlocal_ssh.model import (
     BulkParams,
     FiniteParams,
-    SpinorGrid,
     band_sign,
     log_ratio,
-    make_grid,
     norm,
     wrap_angle,
 )
@@ -94,21 +92,14 @@ def test_no_invalid_record_from_a_valid_one():
 
 def test_grid_is_symmetric():
     p = FiniteParams(v0=0.5, w0=1.0, a=0.5, L=4.0, dx=0.25)
-    g = make_grid(p)
-    assert g.n == p.n_points
-    assert g.x[0] == pytest.approx(-2.0)
-    assert g.x[-1] == pytest.approx(2.0)
-    assert np.max(np.abs(g.x + g.x[::-1])) < 1e-12
-
-
-def test_spinor_grid_checks():
-    p = FiniteParams(v0=0.5, w0=1.0, a=0.5, L=4.0, dx=0.25)
-    g = make_grid(p)
-    psi = np.ones(g.n)
-    s = SpinorGrid(grid=g, psi_a=psi, psi_b=0 * psi)
-    assert s.norm() == pytest.approx(np.sqrt(g.n))
-    with pytest.raises(ValidationError, match="spinor components must have shape"):
-        SpinorGrid(grid=g, psi_a=psi, psi_b=np.ones(g.n + 1))
+    x = p.grid_x()
+    assert x.shape == (p.n_points,)
+    assert x[0] == pytest.approx(-2.0)
+    assert x[-1] == pytest.approx(2.0)
+    assert np.max(np.abs(x + x[::-1])) < 1e-12
+    # at chosen indices, the bits of the full grid
+    idx = np.array([16, 0, 7, 7])
+    assert np.array_equal(p.grid_x(idx), x[idx])
 
 
 def _magnitudes():
@@ -135,3 +126,5 @@ def test_norm_takes_any_magnitude():
     for scale in (1e-200, 1.0, 1e200):
         assert norm(scale * np.ones(4), [3j * scale]) == pytest.approx(np.sqrt(13.0) * scale, rel=1e-15)
     assert norm(np.zeros(3)) == 0.0 and norm(np.empty(0)) == 0.0
+    # a box state's (psi_a, psi_b) pair with one half zero
+    assert norm(np.ones(17), np.zeros(17)) == pytest.approx(np.sqrt(17.0))

@@ -25,8 +25,7 @@ from nonlocal_ssh.model import (
     EPS,
     BulkParams,
     FiniteParams,
-    SpinorGrid,
-    make_grid,
+    norm,
     power_of_two,
     scale_back,
 )
@@ -209,8 +208,8 @@ def _residual_bound(op, evals):
     return s * math.sqrt(largest_square())
 
 
-def _norm(state):
-    a, b = np.abs(state.psi_a), np.abs(state.psi_b)
+def _norm(psi_a, psi_b):
+    a, b = np.abs(psi_a), np.abs(psi_b)
     s = math.ldexp(1.0, math.frexp(max(a.max(initial=0.0), b.max(initial=0.0)))[1])
     return float(s * np.sqrt(np.sum((a / s) ** 2) + np.sum((b / s) ** 2)))
 
@@ -223,9 +222,9 @@ def test_box_formulas_keep_their_bits(v0, w0, m, p):
     res = spectrum(op)
     assert _bits(res.eigenvalues) == _bits(_box_levels(params))
     assert _bits(res.residual_bound) == _bits(_residual_bound(op, res.eigenvalues))
-    state = res.vectors[p]
-    scaled = SpinorGrid(op.grid, state.psi_a * v0, state.psi_b * w0)  # any magnitude
-    assert _bits(scaled.norm()) == _bits(_norm(scaled))
+    psi_a, psi_b = res.vectors[p]
+    scaled = (psi_a * v0, psi_b * w0)  # any magnitude
+    assert _bits(norm(*scaled)) == _bits(_norm(*scaled))
 
 
 @pytest.mark.parametrize("v0, w0", [(1.7e308, 1e308), (1e308, -1e308)])
@@ -242,12 +241,12 @@ def test_localization_fit_keeps_its_bits(a):
     # the fit runs on x over a's power of two; the one before took twice that
     # power, and polyfit's column scaling makes the two slopes agree bit for bit
     params = FiniteParams(v0=0.5, w0=1.0, a=a, L=20 * a, dx=a / 10)
-    grid = make_grid(params)
+    x = params.grid_x()
     mode = build_zero_mode(params, "B", EdgeLabels(n=1, m=0)).psi
     s = math.ldexp(1.0, math.frexp(a)[1])
     peaks = np.abs(mode)[:200].reshape(20, 10).max(axis=1)
-    locs = grid.x[np.arange(20) * 10 + np.abs(mode)[:200].reshape(20, 10).argmax(axis=1)]
+    locs = x[np.arange(20) * 10 + np.abs(mode)[:200].reshape(20, 10).argmax(axis=1)]
     assert np.all(peaks >= sys.float_info.min)
     slope, intercept = np.polyfit(locs / s, np.log(peaks), 1)
-    fit = localization_fit(grid, mode, a)
+    fit = localization_fit(params, mode)
     assert (fit.slope, fit.intercept) == (float(slope) / s, float(intercept))
